@@ -84,6 +84,28 @@ class TokenSequence:
 
 
 @dataclass
+class Batch:
+    """Records stacked for one batch-major pass. Text columns stop at the
+    longest real sequence in the batch, so rows of shorter texts end in
+    pads; labels are None at inference."""
+
+    patches: np.ndarray    # (B, P, p^3)
+    ids: np.ndarray        # (B, L) int64, L <= L_max
+    pad_mask: np.ndarray   # (B, L) bool, True at real tokens
+    labels: np.ndarray | None = None  # (B,) int64
+
+    @classmethod
+    def stack(cls, patches: list[PatchGrid], tokens: list[TokenSequence],
+              labels: list[int] | None = None) -> "Batch":
+        n = max(t.length for t in tokens)
+        return cls(patches=np.stack([p.patches for p in patches]),
+                   ids=np.stack([t.ids[:n] for t in tokens]),
+                   pad_mask=np.stack([t.pad_mask[:n] for t in tokens]),
+                   labels=None if labels is None
+                   else np.asarray(labels, dtype=np.int64))
+
+
+@dataclass
 class Vocab:
     tokens: list[str]
 
@@ -208,8 +230,8 @@ def tokenize(text: str, vocab: Vocab, l_max: int = DEFAULT_L_MAX) -> TokenSequen
     return TokenSequence(ids=out, pad_mask=mask, length=length)
 
 
-def validate_ids(seq: TokenSequence, vocab_size: int) -> None:
-    if seq.ids.max(initial=0) >= vocab_size:
+def validate_ids(ids: np.ndarray, vocab_size: int) -> None:
+    if ids.max(initial=0) >= vocab_size:
         raise VocabError("token id out of range for vocabulary")
 
 

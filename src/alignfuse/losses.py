@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TokenSequence
-from .errors import DegenerateInputError, DimensionError, LabelError, NumericError
+from .errors import ContractError, DimensionError, LabelError, NumericError
 from .tensor import Tensor, log_softmax, unit_rows
 
 
@@ -65,39 +64,56 @@ def itc_loss(z_image: Tensor, z_text: Tensor, tau) -> Tensor:
 
 
 def image_recon_loss(target: np.ndarray, recon: Tensor,
-                     masked_idx: np.ndarray) -> Tensor:
-    """MSE over voxels of the masked patches; empty mask set gives 0."""
+                     masked: np.ndarray) -> Tensor:
+    """MSE over voxels of the masked patches of each record, averaged over
+    records. `target` and `recon` are (..., P, V), `masked` is the (..., P)
+    bool matrix of masked patches; a record with none contributes 0, and
+    an empty mask set gives 0."""
     if recon.shape != tuple(target.shape):
         raise DimensionError(
             f"reconstruction shape {recon.shape} != target {target.shape}")
-    masked_idx = np.asarray(masked_idx, dtype=np.int64)
-    if masked_idx.size == 0:
+    masked = np.asarray(masked, dtype=bool)
+    if not masked.any():
         return Tensor(np.array(0.0))
-    diff = recon[masked_idx] - Tensor(target[masked_idx])
-    return (diff * diff).mean()
+    n_records = masked.size // masked.shape[-1]
+    counts = np.maximum(masked.sum(axis=-1, keepdims=True), 1)
+    weight = masked / (counts * target.shape[-1] * n_records)
+    diff = recon - target
+    return (diff * diff * weight[..., None]).sum()
 
 
-def text_recon_loss(tokens: TokenSequence, logits: Tensor,
-                    masked_idx: np.ndarray) -> Tensor:
-    """Mean cross-entropy of the true token ids at masked positions."""
-    masked_idx = np.asarray(masked_idx, dtype=np.int64)
-    if masked_idx.size == 0:
+def text_recon_loss(ids: np.ndarray, pad_mask: np.ndarray, logits: Tensor,
+                    masked: np.ndarray) -> Tensor:
+    """Cross-entropy of the true token ids at masked positions, averaged
+    within each record and then over records. `ids`, `pad_mask` and
+    `masked` are (..., L), `logits` is (..., L, vocab)."""
+    masked = np.asarray(masked, dtype=bool)
+    if not masked.any():
         return Tensor(np.array(0.0))
-    assert masked_idx.min() >= 1, "masked positions must exclude [CLS]"
-    assert tokens.pad_mask[masked_idx].all(), "masked positions must be real tokens"
-    logp = log_softmax(logits[masked_idx], axis=-1)
-    onehot = np.zeros((masked_idx.size, logits.shape[-1]))
-    onehot[np.arange(masked_idx.size), tokens.ids[masked_idx]] = 1.0
-    return -(logp * Tensor(onehot)).sum() * (1.0 / masked_idx.size)
+    if masked[..., 0].any():
+        raise ContractError("masked positions must exclude [CLS]")
+    if (masked & ~pad_mask).any():
+        raise ContractError("masked positions must be real tokens")
+    n_records = masked.size // masked.shape[-1]
+    where = np.nonzero(masked)
+    logp = log_softmax(logits[where], axis=-1)
+    picked = np.zeros(logp.shape)  # each record's targets weigh 1 / (its count * records)
+    picked[np.arange(len(where[0])), ids[where]] = \
+        1.0 / (masked.sum(axis=-1)[where[:-1]] * n_records)
+    return -(logp * Tensor(picked)).sum()
 
 
-def classification_loss(class_logits: Tensor, label: int) -> Tensor:
-    """Negative log softmax probability of the true class."""
+def classification_loss(class_logits: Tensor, labels) -> Tensor:
+    """Negative log softmax probability of the true class, averaged over
+    records. `class_logits` is (..., n_classes), `labels` an int array of
+    its leading shape."""
     n = class_logits.shape[-1]
-    if not 0 <= label < n:
-        raise LabelError(f"label {label} outside [0, {n})")
-    logp = log_softmax(class_logits.reshape(1, -1), axis=-1)
-    return -logp[0, label].reshape(())
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = labels[(labels < 0) | (labels >= n)]
+    if bad.size:
+        raise LabelError(f"label {bad[0]} outside [0, {n})")
+    logp = log_softmax(class_logits, axis=-1)
+    return -(logp * Tensor(np.eye(n)[labels] / max(labels.size, 1))).sum()
 
 
 def total_loss(contrastive: Tensor, recon_image: Tensor, recon_text: Tensor,

@@ -13,12 +13,12 @@ unimodal and grounded encoders is by construction (same Tensor objects).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import CLS_ID, PatchGrid, TokenSequence
-from .errors import ConfigError, DimensionError
+from .data import Batch, PatchGrid, TokenSequence, validate_ids
+from .errors import ConfigError, ContractError, DimensionError
 from .tensor import (
     NEG_MASK_BIAS,
     RngStream,
@@ -43,7 +43,6 @@ class ModelConfig:
     mask_ratio: float = 0.5
     ffn_mult: int = 4
     fusion_hidden: int | None = None
-    recon_masked_only: bool = True
     layer_norm_eps: float = 1e-5
 
     def __post_init__(self):
@@ -69,40 +68,31 @@ class ModelConfig:
         return self.patch_size ** 3
 
     def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model, "n_heads": self.n_heads,
-            "n_enc_layers": self.n_enc_layers, "n_dec_layers": self.n_dec_layers,
-            "patch_size": self.patch_size, "volume_side": self.volume_side,
-            "vocab_size": self.vocab_size, "l_max": self.l_max,
-            "n_classes": self.n_classes, "mask_ratio": self.mask_ratio,
-            "ffn_mult": self.ffn_mult, "fusion_hidden": self.fusion_hidden,
-            "recon_masked_only": self.recon_masked_only,
-            "layer_norm_eps": self.layer_norm_eps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        # checkpoints written before the field was removed still carry it
+        return cls(**{k: v for k, v in d.items() if k != "recon_masked_only"})
 
 
 @dataclass
 class ForwardOutputs:
-    z_image: Tensor            # (P+1, d) unimodal image features
-    z_text: Tensor             # (L_max, d) unimodal text features
-    z_image_cls: Tensor        # (d,)
-    z_text_cls: Tensor         # (d,)
-    class_logits: Tensor       # (n_classes,)
-    recon_image: Tensor        # (P, V)
-    recon_text_logits: Tensor  # (L_max, vocab); row 0 unused by the loss
-    masked_patch_idx: np.ndarray  # patch indices (0-based into P)
-    masked_token_idx: np.ndarray  # sequence positions (>= 1, real tokens)
+    z_image_cls: Tensor        # (B, d)
+    z_text_cls: Tensor         # (B, d)
+    class_logits: Tensor       # (B, n_classes)
+    recon_image: Tensor        # (B, P, V)
+    recon_text_logits: Tensor  # (B, L, vocab); column 0 unused by the loss
+    masked_patches: np.ndarray  # (B, P) bool, patches replaced by the mask
+    masked_tokens: np.ndarray   # (B, L) bool, real tokens only, never [CLS]
 
 
 def _attn_bias(pad_mask: np.ndarray | None) -> np.ndarray | None:
-    """Additive key bias excluding pad positions from attention."""
-    if pad_mask is None:
+    """Additive (B, 1, 1, N) key bias excluding pad positions from
+    attention; None when no row has a pad."""
+    if pad_mask is None or pad_mask.all():
         return None
-    return np.where(pad_mask, 0.0, NEG_MASK_BIAS)
+    return np.where(pad_mask, 0.0, NEG_MASK_BIAS)[:, None, None, :]
 
 
 class AlignFuseModel:
@@ -177,68 +167,88 @@ class AlignFuseModel:
     def _attention(self, name: str, x_q: Tensor, x_kv: Tensor,
                    key_bias: np.ndarray | None,
                    record: list | None = None) -> Tensor:
-        h = self.config.n_heads
-        d = self.config.d_model
+        """Multi-head attention of (B, Nq, d) queries over (B, Nkv, d) keys.
+        The 1/sqrt(d_h) scale is applied to q, so no scaled copy of the
+        (B, h, Nq, Nkv) scores is kept."""
+        h, d = self.config.n_heads, self.config.d_model
         dh = d // h
-        n_q, n_kv = x_q.shape[0], x_kv.shape[0]
-        q = self._linear(f"{name}.wq", x_q).reshape(n_q, h, dh).transpose(1, 0, 2)
-        k = self._linear(f"{name}.wk", x_kv).reshape(n_kv, h, dh).transpose(1, 0, 2)
-        v = self._linear(f"{name}.wv", x_kv).reshape(n_kv, h, dh).transpose(1, 0, 2)
-        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
-        if key_bias is not None:
-            scores = scores + Tensor(key_bias.reshape(1, 1, n_kv))
-        att = softmax(scores, axis=-1)
+        (b, n_q, _), n_kv = x_q.shape, x_kv.shape[1]
+        q = (self._linear(f"{name}.wq", x_q) * (1.0 / math.sqrt(dh))
+             ).reshape(b, n_q, h, dh).transpose(0, 2, 1, 3)
+        k = self._linear(f"{name}.wk", x_kv).reshape(b, n_kv, h, dh).transpose(0, 2, 3, 1)
+        v = self._linear(f"{name}.wv", x_kv).reshape(b, n_kv, h, dh).transpose(0, 2, 1, 3)
+        att = softmax(q @ k if key_bias is None else q @ k + key_bias, axis=-1)
         if record is not None:
             record.append(att.data)
-        out = (att @ v).transpose(1, 0, 2).reshape(n_q, d)
+        out = (att @ v).transpose(0, 2, 1, 3).reshape(b, n_q, d)
         return self._linear(f"{name}.wo", out)
 
     def _ffn(self, name: str, x: Tensor) -> Tensor:
         return self._linear(f"{name}.l2", self._linear(f"{name}.l1", x).gelu())
 
+    def _block(self, x: Tensor, name: str, bias: np.ndarray | None,
+               ctx: Tensor | None = None, ctx_bias: np.ndarray | None = None,
+               record: list | None = None) -> Tensor:
+        """One pre-norm block on (B, N, d) rows: self-attention, then (with
+        `ctx`) cross-attention into ctx through the `<m>.ca.<i>` weights of
+        block `<m>.enc.<i>`, then FFN, each with a residual."""
+        h = self._ln(f"{name}.ln1", x)
+        x = x + self._attention(f"{name}.sa", h, h, bias, record)
+        if ctx is not None:
+            ca = name.replace(".enc.", ".ca.")
+            x = x + self._attention(ca, self._ln(f"{ca}.ln", x), ctx, ctx_bias)
+        return x + self._ffn(f"{name}.ffn", self._ln(f"{name}.ln2", x))
+
     # -- embedding ------------------------------------------------------------
 
-    def embed_image(self, patches: PatchGrid) -> Tensor:
-        """[CLS] row followed by LP(patch) rows, plus position embeddings."""
+    def embed_image(self, patches: np.ndarray) -> Tensor:
+        """(B, P, V) patches -> (B, P+1, d): a [CLS] row followed by
+        LP(patch) rows, plus position embeddings."""
         cfg = self.config
-        if patches.patches.shape != (cfg.n_patches, cfg.patch_voxels):
+        if patches.shape[1:] != (cfg.n_patches, cfg.patch_voxels):
             raise DimensionError(
-                f"patch grid {patches.patches.shape} does not match config "
+                f"patch grid {patches.shape[1:]} does not match config "
                 f"({cfg.n_patches}, {cfg.patch_voxels})")
-        projected = self._linear("img.lp", Tensor(patches.patches))
-        rows = concat([self.params["img.cls"].reshape(1, -1), projected], axis=0)
-        return rows + self.params["img.pe"]
+        projected = self._linear("img.lp", Tensor(patches))
+        cls = self.params["img.cls"].reshape(1, 1, -1) * np.ones((len(patches), 1, 1))
+        return concat([cls, projected], axis=1) + self.params["img.pe"]
 
-    def embed_text(self, tokens: TokenSequence) -> Tensor:
-        cfg = self.config
-        from .data import validate_ids
-
-        validate_ids(tokens, cfg.vocab_size)
-        looked_up = self.params["txt.emb"].gather_rows(tokens.ids)
-        return looked_up + self.params["txt.pe"]
+    def embed_text(self, ids: np.ndarray) -> Tensor:
+        """(B, L) token ids -> (B, L, d) with the first L position
+        embeddings."""
+        validate_ids(ids, self.config.vocab_size)
+        looked_up = self.params["txt.emb"].gather_rows(ids)
+        return looked_up + self.params["txt.pe"][:ids.shape[1]]
 
     # -- masking --------------------------------------------------------------
 
-    def apply_mask(self, h: Tensor, modality: str, rng: RngStream,
+    def apply_mask(self, h: Tensor, modality: str, rngs: list[RngStream],
                    maskable: np.ndarray | None = None,
                    ratio: float | None = None) -> tuple[Tensor, np.ndarray]:
-        """Replace floor(ratio * n_maskable) rows by the modality's mask
-        embedding (position embedding retained); position 0 ([CLS]) is never
-        maskable. Returns the masked tensor and the chosen row indices."""
-        n = h.shape[0]
+        """In each row b of (B, N, d) `h`, replace floor(ratio * n_b) of its
+        n_b maskable positions, drawn with rngs[b], by the modality's mask
+        embedding (position embedding retained). `maskable` is a (B, N)
+        bool matrix, by default every position but 0; position 0 ([CLS]) is
+        never maskable. Returns the masked tensor and the (B, N) bool matrix
+        of replaced positions."""
+        b, n = h.shape[0], h.shape[1]
         if maskable is None:
-            maskable = np.arange(1, n)
-        maskable = np.asarray(maskable, dtype=np.int64)
-        assert 0 not in maskable, "[CLS] position is not maskable"
+            maskable = np.ones((b, n), dtype=bool)
+            maskable[:, 0] = False
+        if maskable[:, 0].any():
+            raise ContractError("[CLS] position is not maskable")
         ratio = self.config.mask_ratio if ratio is None else ratio
-        n_mask = int(math.floor(ratio * len(maskable)))
-        if n_mask == 0:
-            return h, np.empty(0, dtype=np.int64)
-        chosen = np.sort(maskable[rng.permutation(len(maskable))[:n_mask]])
-        keep = np.ones((n, 1))
-        keep[chosen] = 0.0
-        pe = self.params["img.pe" if modality == "img" else "txt.pe"]
-        replacement = self.params[f"{modality}.mask"].reshape(1, -1) + pe
+        chosen = np.zeros((b, n), dtype=bool)
+        for row, rng in enumerate(rngs):
+            candidates = np.flatnonzero(maskable[row])
+            n_mask = int(math.floor(ratio * len(candidates)))
+            if n_mask:
+                chosen[row, candidates[rng.permutation(len(candidates))[:n_mask]]] = True
+        if not chosen.any():
+            return h, chosen
+        keep = (~chosen)[:, :, None].astype(np.float64)
+        pe = self.params["img.pe" if modality == "img" else "txt.pe"][:n]
+        replacement = self.params[f"{modality}.mask"] + pe
         return h * keep + replacement * (1.0 - keep), chosen
 
     # -- encoders / decoders ---------------------------------------------------
@@ -246,16 +256,11 @@ class AlignFuseModel:
     def encode_unimodal(self, h: Tensor, modality: str,
                         pad_mask: np.ndarray | None = None,
                         record_attn: list | None = None) -> Tensor:
-        """Pre-norm SA + FFN stack with residuals; pads excluded as keys."""
+        """Pre-norm SA + FFN stack on (B, N, d); pads excluded as keys."""
         bias = _attn_bias(pad_mask)
-        x = h
         for i in range(self.config.n_enc_layers):
-            blk = f"{modality}.enc.{i}"
-            x = x + self._attention(f"{blk}.sa", self._ln(f"{blk}.ln1", x),
-                                    self._ln(f"{blk}.ln1", x), bias,
-                                    record=record_attn)
-            x = x + self._ffn(f"{blk}.ffn", self._ln(f"{blk}.ln2", x))
-        return x
+            h = self._block(h, f"{modality}.enc.{i}", bias, record=record_attn)
+        return h
 
     def encode_grounded(self, h_masked: Tensor, z_other: Tensor, modality: str,
                         pad_mask: np.ndarray | None = None,
@@ -263,42 +268,31 @@ class AlignFuseModel:
         """Per block: shared SA, then cross-attention into the other
         modality's features, then shared FFN. Only the CA weights are
         specific to this path."""
-        bias = _attn_bias(pad_mask)
-        other_bias = _attn_bias(other_pad_mask)
-        x = h_masked
+        bias, other_bias = _attn_bias(pad_mask), _attn_bias(other_pad_mask)
         for i in range(self.config.n_enc_layers):
-            blk = f"{modality}.enc.{i}"
-            ca = f"{modality}.ca.{i}"
-            x = x + self._attention(f"{blk}.sa", self._ln(f"{blk}.ln1", x),
-                                    self._ln(f"{blk}.ln1", x), bias)
-            x = x + self._attention(ca, self._ln(f"{ca}.ln", x), z_other, other_bias)
-            x = x + self._ffn(f"{blk}.ffn", self._ln(f"{blk}.ln2", x))
-        return x
+            h_masked = self._block(h_masked, f"{modality}.enc.{i}", bias, z_other, other_bias)
+        return h_masked
 
     def decode_modality(self, z_grounded: Tensor, modality: str,
                         pad_mask: np.ndarray | None = None) -> Tensor:
         """SA + FFN decoder stack and linear head.
 
-        Image: the [CLS] row is dropped, giving a (P, V) reconstruction.
+        Image: the [CLS] row is dropped, giving a (B, P, V) reconstruction.
         Text: all rows are kept so logits row j matches sequence position j
         (row 0 is never a reconstruction target).
         """
         bias = _attn_bias(pad_mask)
-        x = z_grounded
         for i in range(self.config.n_dec_layers):
-            blk = f"{modality}.dec.{i}"
-            x = x + self._attention(f"{blk}.sa", self._ln(f"{blk}.ln1", x),
-                                    self._ln(f"{blk}.ln1", x), bias)
-            x = x + self._ffn(f"{blk}.ffn", self._ln(f"{blk}.ln2", x))
-        out = self._linear(f"{modality}.dec.head", x)
-        return out[1:] if modality == "img" else out
+            z_grounded = self._block(z_grounded, f"{modality}.dec.{i}", bias)
+        out = self._linear(f"{modality}.dec.head", z_grounded)
+        return out[:, 1:] if modality == "img" else out
 
     # -- fusion ---------------------------------------------------------------
 
     def fuse_classify(self, z_image_cls: Tensor, z_text_cls: Tensor) -> Tensor:
-        z_cat = concat([z_image_cls, z_text_cls], axis=0).reshape(1, -1)
-        hidden = self._linear("fusion.l1", z_cat).relu()
-        return self._linear("fusion.l2", hidden).reshape(-1)
+        """(B, d) image and text [CLS] features -> (B, n_classes) logits."""
+        hidden = self._linear("fusion.l1", concat([z_image_cls, z_text_cls], axis=-1)).relu()
+        return self._linear("fusion.l2", hidden)
 
     def temperature(self) -> Tensor:
         return self.params["log_tau"].reshape(1).exp()
@@ -310,50 +304,51 @@ class AlignFuseModel:
 
     # -- full passes -----------------------------------------------------------
 
-    def forward_training_pass(self, patches: PatchGrid, tokens: TokenSequence,
-                              rng: RngStream) -> ForwardOutputs:
+    def forward_training_pass(self, batch: Batch, rng: RngStream) -> ForwardOutputs:
         """Pass 1: unimodal encodings for contrast + fusion. Pass 2: masked
         inputs through the grounded encoders and decoders for restoration.
-        Shared weights receive gradient from both passes."""
-        pad = tokens.pad_mask
-        h_img = self.embed_image(patches)
-        h_txt = self.embed_text(tokens)
+        Shared weights receive gradient from both passes. Row j draws its
+        image mask from rng.child(j).child(0) and its text mask from
+        rng.child(j).child(1)."""
+        pad = batch.pad_mask
+        h_img = self.embed_image(batch.patches)
+        h_txt = self.embed_text(batch.ids)
 
         z_img = self.encode_unimodal(h_img, "img")
         z_txt = self.encode_unimodal(h_txt, "txt", pad_mask=pad)
 
-        z_img_cls = z_img[0]
-        z_txt_cls = z_txt[0]
+        z_img_cls = z_img[:, 0]
+        z_txt_cls = z_txt[:, 0]
         class_logits = self.fuse_classify(z_img_cls, z_txt_cls)
 
-        h_img_masked, img_idx = self.apply_mask(h_img, "img", rng.child(0))
-        txt_maskable = np.arange(1, tokens.length)
-        h_txt_masked, txt_idx = self.apply_mask(h_txt, "txt", rng.child(1),
-                                                maskable=txt_maskable)
+        rows = [rng.child(j) for j in range(len(pad))]
+        h_img_masked, img_masked = self.apply_mask(
+            h_img, "img", [r.child(0) for r in rows])
+        txt_maskable = pad.copy()
+        txt_maskable[:, 0] = False
+        h_txt_masked, txt_masked = self.apply_mask(
+            h_txt, "txt", [r.child(1) for r in rows], maskable=txt_maskable)
 
         zg_img = self.encode_grounded(h_img_masked, z_txt, "img",
                                       other_pad_mask=pad)
         zg_txt = self.encode_grounded(h_txt_masked, z_img, "txt", pad_mask=pad)
 
-        recon_image = self.decode_modality(zg_img, "img")
-        recon_text = self.decode_modality(zg_txt, "txt", pad_mask=pad)
-
         return ForwardOutputs(
-            z_image=z_img, z_text=z_txt,
             z_image_cls=z_img_cls, z_text_cls=z_txt_cls,
             class_logits=class_logits,
-            recon_image=recon_image, recon_text_logits=recon_text,
-            masked_patch_idx=img_idx - 1,  # sequence row i is patch i-1
-            masked_token_idx=txt_idx,
+            recon_image=self.decode_modality(zg_img, "img"),
+            recon_text_logits=self.decode_modality(zg_txt, "txt", pad_mask=pad),
+            masked_patches=img_masked[:, 1:],  # sequence row i is patch i-1
+            masked_tokens=txt_masked,
         )
 
-    def classify(self, patches: PatchGrid, tokens: TokenSequence) -> tuple[Tensor, Tensor, Tensor]:
+    def classify(self, batch: Batch) -> tuple[Tensor, Tensor, Tensor]:
         """Deterministic inference path: no masking. Returns
-        (class_logits, z_image_cls, z_text_cls)."""
-        z_img = self.encode_unimodal(self.embed_image(patches), "img")
-        z_txt = self.encode_unimodal(self.embed_text(tokens), "txt",
-                                     pad_mask=tokens.pad_mask)
-        return self.fuse_classify(z_img[0], z_txt[0]), z_img[0], z_txt[0]
+        (class_logits, z_image_cls, z_text_cls), one row per record."""
+        z_img = self.encode_unimodal(self.embed_image(batch.patches), "img")
+        z_txt = self.encode_unimodal(self.embed_text(batch.ids), "txt",
+                                     pad_mask=batch.pad_mask)
+        return self.fuse_classify(z_img[:, 0], z_txt[:, 0]), z_img[:, 0], z_txt[:, 0]
 
     def extract_attention_map(self, patches: PatchGrid,
                               tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
@@ -365,15 +360,15 @@ class AlignFuseModel:
         g = self.config.grid_side
         rec_img: list = []
         rec_txt: list = []
-        self.encode_unimodal(self.embed_image(patches), "img", record_attn=rec_img)
-        self.encode_unimodal(self.embed_text(tokens), "txt",
-                             pad_mask=tokens.pad_mask, record_attn=rec_txt)
-        img_row = rec_img[-1][:, 0, 1:].mean(axis=0)  # drop [CLS] key
+        self.encode_unimodal(self.embed_image(patches.patches[None]), "img",
+                             record_attn=rec_img)
+        # text trimmed to its own length has no pads
+        self.encode_unimodal(self.embed_text(tokens.ids[None, :tokens.length]), "txt",
+                             record_attn=rec_txt)
+        img_row = rec_img[-1][0, :, 0, 1:].mean(axis=0)  # drop [CLS] key
         img_heat = (img_row / img_row.sum()).reshape(g, g, g)
-        txt_row = rec_txt[-1][:, 0, :].mean(axis=0)
-        txt_row = txt_row.copy()
-        txt_row[0] = 0.0
-        txt_row[~tokens.pad_mask] = 0.0
+        txt_row = np.zeros(self.config.l_max)
+        txt_row[1:tokens.length] = rec_txt[-1][0, :, 0, 1:].mean(axis=0)
         total = txt_row.sum()
         if total > 0:
             txt_row = txt_row / total

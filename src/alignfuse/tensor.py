@@ -90,8 +90,8 @@ class RngStream:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape` (reverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    if grad.ndim > len(shape):
+        grad = grad.sum(axis=tuple(range(grad.ndim - len(shape))))
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -132,9 +132,10 @@ class Tensor:
         return out
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:  # a copy: a closure may pass one array to two parents
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
+        else:
+            self.grad += g
 
     # -- basic properties -----------------------------------------------------
 
@@ -229,7 +230,12 @@ class Tensor:
             if a.requires_grad or a._prev:
                 a._accum(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
             if b.requires_grad or b._prev:
-                b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+                if b.data.ndim == 2 and a.data.ndim > 2:
+                    # weight of a batched linear map: one GEMM over all rows
+                    k, n = a.data.shape[-1], g.shape[-1]
+                    b._accum(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+                else:
+                    b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
         return Tensor._result(a.data @ b.data, (a, b), backward)
 
@@ -265,10 +271,16 @@ class Tensor:
 
     def __getitem__(self, key):
         a = self
+        # an int, a slice or a tuple of these selects each element at most once
+        basic = all(isinstance(k, (int, np.integer, slice)) and not isinstance(k, bool)
+                    for k in (key if isinstance(key, tuple) else (key,)))
 
         def backward(g):
             full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
+            if basic:
+                full[key] = g
+            else:
+                np.add.at(full, key, g)
             a._accum(full)
 
         return Tensor._result(a.data[key], (a,), backward)
@@ -346,7 +358,9 @@ class Tensor:
 
     def gelu(self):
         a = self
-        cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+        cdf = erf(a.data * _INV_SQRT2)
+        cdf += 1.0
+        cdf *= 0.5
 
         def backward(g):
             pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
@@ -405,21 +419,20 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                           tensors, backward)
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a 2-D tensor."""
-    return concat([t.reshape(1, -1) for t in tensors], axis=0)
-
-
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max-subtraction) along `axis`."""
     a = x
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    # in place: one array of x's size per pass instead of three
+    out_data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accum(out_data * (g - dot))
+        grad = g * out_data
+        dot = grad.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=grad)
+        grad *= out_data
+        a._accum(grad)
 
     return Tensor._result(out_data, (a,), backward)
 

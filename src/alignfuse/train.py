@@ -4,7 +4,7 @@ analytics, and checkpoint integration."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +12,7 @@ from scipy.stats import rankdata
 
 from . import checkpoint as ckpt
 from .data import (
+    Batch,
     PatchGrid,
     PatientRecord,
     TokenSequence,
@@ -32,7 +33,9 @@ from .losses import (
     total_loss,
 )
 from .model import AlignFuseModel, ModelConfig
-from .tensor import RngStream, Tensor, no_grad, softmax, stack_rows
+from .tensor import RngStream, Tensor, no_grad, softmax
+
+PREDICT_CHUNK = 4  # records per inference batch; larger ones raise peak memory
 
 
 @dataclass
@@ -56,13 +59,7 @@ class TrainConfig:
             raise ConfigError("lr must be positive")
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("batch_size", "lr", "beta1", "beta2", "eps", "weight_decay",
-              "steps", "seed", "eval_every", "grad_clip")}
-        d["weights"] = {"contrastive": self.weights.contrastive,
-                        "reconstruction": self.weights.reconstruction,
-                        "classification": self.weights.classification}
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -159,27 +156,25 @@ def dataset_corpus(records: list[PatientRecord]) -> list[str]:
 # training
 
 
-def batch_loss(model: AlignFuseModel, batch: list[Example],
-               weights: LossWeights, rng: RngStream) -> LossBreakdown:
-    """Forward the batch and combine the four objectives."""
-    img_feats, txt_feats = [], []
-    rec_img_losses, rec_txt_losses, cls_losses = [], [], []
-    for j, ex in enumerate(batch):
-        fwd = model.forward_training_pass(ex.patches, ex.tokens, rng.child(j))
-        img_feats.append(fwd.z_image_cls)
-        txt_feats.append(fwd.z_text_cls)
-        rec_img_losses.append(image_recon_loss(
-            ex.patches.patches, fwd.recon_image, fwd.masked_patch_idx))
-        rec_txt_losses.append(text_recon_loss(
-            ex.tokens, fwd.recon_text_logits, fwd.masked_token_idx))
-        cls_losses.append(classification_loss(fwd.class_logits, ex.label))
+def collate(examples: list[Example]) -> Batch:
+    """Stack examples into one batch, text trimmed to its longest record."""
+    return Batch.stack([ex.patches for ex in examples],
+                       [ex.tokens for ex in examples],
+                       [ex.label for ex in examples])
 
-    b = len(batch)
-    mean = lambda parts: sum(parts[1:], parts[0]) * (1.0 / b)
-    contrastive = itc_loss(stack_rows(img_feats), stack_rows(txt_feats),
-                           model.temperature())
-    return total_loss(contrastive, mean(rec_img_losses), mean(rec_txt_losses),
-                      mean(cls_losses), weights)
+
+def batch_loss(model: AlignFuseModel, batch: Batch,
+               weights: LossWeights, rng: RngStream) -> LossBreakdown:
+    """Forward the batch and combine the four objectives; the per-record
+    terms are averaged over the batch."""
+    fwd = model.forward_training_pass(batch, rng)
+    contrastive = itc_loss(fwd.z_image_cls, fwd.z_text_cls, model.temperature())
+    return total_loss(
+        contrastive,
+        image_recon_loss(batch.patches, fwd.recon_image, fwd.masked_patches),
+        text_recon_loss(batch.ids, batch.pad_mask, fwd.recon_text_logits,
+                        fwd.masked_tokens),
+        classification_loss(fwd.class_logits, batch.labels), weights)
 
 
 def _batch_indices(n: int, batch_size: int, step: int, seed: int) -> np.ndarray:
@@ -201,7 +196,7 @@ def train_steps(model: AlignFuseModel, optim: AdamW, examples: list[Example],
     log = []
     for step in range(start, end):
         idx = _batch_indices(len(examples), cfg.batch_size, step, cfg.seed)
-        batch = [examples[i] for i in idx]
+        batch = collate([examples[i] for i in idx])
         rng = RngStream(cfg.seed).child(2_000_000 + step)
         optim.zero_grad()
         breakdown = batch_loss(model, batch, cfg.weights, rng)
@@ -269,15 +264,17 @@ class EvalReport:
 
 def predict(model: AlignFuseModel,
             examples: list[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Softmax class probabilities plus image/text [CLS] embeddings."""
+    """Softmax class probabilities plus image/text [CLS] embeddings, in
+    batches of PREDICT_CHUNK records so that memory does not grow with the
+    dataset."""
     probs, z_img, z_txt = [], [], []
     with no_grad():
-        for ex in examples:
-            logits, zi, zt = model.classify(ex.patches, ex.tokens)
-            probs.append(softmax(logits.reshape(1, -1), axis=-1).data[0])
-            z_img.append(zi.data.copy())
-            z_txt.append(zt.data.copy())
-    return np.array(probs), np.array(z_img), np.array(z_txt)
+        for i in range(0, len(examples), PREDICT_CHUNK):
+            logits, zi, zt = model.classify(collate(examples[i:i + PREDICT_CHUNK]))
+            probs.append(softmax(logits, axis=-1).data)
+            z_img.append(zi.data)
+            z_txt.append(zt.data)
+    return np.concatenate(probs), np.concatenate(z_img), np.concatenate(z_txt)
 
 
 def evaluate(model: AlignFuseModel, examples: list[Example]) -> EvalReport:

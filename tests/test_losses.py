@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from alignfuse.data import TokenSequence
-from alignfuse.errors import DegenerateInputError, DimensionError, LabelError
+from alignfuse.errors import ContractError, DegenerateInputError, DimensionError, LabelError
 from alignfuse.losses import (
     LossWeights,
     classification_loss,
@@ -90,38 +90,54 @@ class TestItcLoss:
         assert finite_diff_check(lambda t: itc_loss(t, zt, 0.07), zi) < 1e-4
 
 
+def positions(n, idx):
+    """(n,) bool mask, True at `idx`."""
+    return np.isin(np.arange(n), idx)
+
+
 class TestImageReconLoss:
     def test_perfect_reconstruction(self):
         x = np.random.default_rng(0).uniform(0, 1, (6, 8))
-        assert image_recon_loss(x, Tensor(x), np.array([0, 2])).item() == 0.0
+        assert image_recon_loss(x, Tensor(x), positions(6, [0, 2])).item() == 0.0
 
     def test_empty_mask_convention(self):
         x = np.ones((4, 8))
         assert image_recon_loss(x, Tensor(np.zeros((4, 8))),
-                                np.empty(0, dtype=int)).item() == 0.0
+                                positions(4, [])).item() == 0.0
 
     def test_constant_error(self):
         x = np.zeros((3, 4))
         recon = Tensor(np.full((3, 4), 0.5))
-        assert abs(image_recon_loss(x, recon, np.array([1])).item() - 0.25) < 1e-15
+        assert abs(image_recon_loss(x, recon, positions(3, [1])).item() - 0.25) < 1e-15
 
     def test_only_masked_patches_count(self):
         x = np.zeros((3, 4))
         recon_data = np.zeros((3, 4))
         recon_data[0] = 9.0  # unmasked row must not contribute
-        assert image_recon_loss(x, Tensor(recon_data), np.array([2])).item() == 0.0
+        assert image_recon_loss(x, Tensor(recon_data), positions(3, [2])).item() == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             image_recon_loss(np.zeros((3, 4)), Tensor(np.zeros((4, 3))),
-                             np.array([0]))
+                             positions(4, [0]))
 
     def test_gradient(self):
         rng = np.random.Generator(np.random.PCG64(1))
         x = rng.uniform(0, 1, (4, 6))
         r = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         assert finite_diff_check(
-            lambda t: image_recon_loss(x, t, np.array([1, 3])), r) < 1e-4
+            lambda t: image_recon_loss(x, t, positions(4, [1, 3])), r) < 1e-4
+
+    def test_batch_is_mean_of_per_record_means(self):
+        rng = np.random.Generator(np.random.PCG64(2))
+        x = rng.uniform(0, 1, (3, 5, 4))
+        r = rng.normal(size=(3, 5, 4))
+        masked = np.array([positions(5, [0, 1, 4]), positions(5, [2]),
+                           positions(5, [])])
+        got = image_recon_loss(x, Tensor(r), masked).item()
+        expected = sum(image_recon_loss(x[j], Tensor(r[j]), masked[j]).item()
+                       for j in range(3)) / 3
+        assert abs(got - expected) < 1e-14
 
 
 def make_tokens(ids, length):
@@ -131,25 +147,29 @@ def make_tokens(ids, length):
     return TokenSequence(ids=ids, pad_mask=mask, length=length)
 
 
+def text_loss(toks, logits, idx):
+    return text_recon_loss(toks.ids, toks.pad_mask, logits,
+                           positions(len(toks.ids), idx))
+
+
 class TestTextReconLoss:
     def test_concentrated_logits_near_zero(self):
         toks = make_tokens([1, 5, 6, 0], 3)
         logits = np.zeros((4, 8))
         logits[1, 5] = 20.0
         logits[2, 6] = 20.0
-        loss = text_recon_loss(toks, Tensor(logits), np.array([1, 2])).item()
+        loss = text_loss(toks, Tensor(logits), [1, 2]).item()
         assert loss < 1e-6
 
     def test_uniform_logits_is_ln_vocab(self):
         toks = make_tokens([1, 3, 2, 0], 3)
         logits = Tensor(np.zeros((4, 4)))
-        loss = text_recon_loss(toks, logits, np.array([1, 2])).item()
+        loss = text_loss(toks, logits, [1, 2]).item()
         assert abs(loss - math.log(4.0)) < 1e-12
 
     def test_empty_mask_convention(self):
         toks = make_tokens([1, 5, 0, 0], 2)
-        assert text_recon_loss(toks, Tensor(np.zeros((4, 8))),
-                               np.empty(0, dtype=int)).item() == 0.0
+        assert text_loss(toks, Tensor(np.zeros((4, 8))), []).item() == 0.0
 
     def test_hand_set_logits_match_oracle(self):
         toks = make_tokens([1, 5, 6, 0], 3)
@@ -163,7 +183,7 @@ class TestTextReconLoss:
             return -math.log(p[target])
 
         expected = (ce(logits[1], 5) + ce(logits[2], 6)) / 2.0
-        got = text_recon_loss(toks, Tensor(logits), np.array([1, 2])).item()
+        got = text_loss(toks, Tensor(logits), [1, 2]).item()
         assert abs(got - expected) < 1e-12
 
     def test_gradient(self):
@@ -171,7 +191,29 @@ class TestTextReconLoss:
         logits = Tensor(np.random.default_rng(2).normal(size=(4, 8)),
                         requires_grad=True)
         assert finite_diff_check(
-            lambda t: text_recon_loss(toks, t, np.array([1, 3])), logits) < 1e-4
+            lambda t: text_loss(toks, t, [1, 3]), logits) < 1e-4
+
+    def test_cls_position_is_a_contract_error(self):
+        toks = make_tokens([1, 5, 6, 0], 3)
+        with pytest.raises(ContractError):
+            text_loss(toks, Tensor(np.zeros((4, 8))), [0, 1])
+
+    def test_pad_position_is_a_contract_error(self):
+        toks = make_tokens([1, 5, 6, 0], 3)
+        with pytest.raises(ContractError):
+            text_loss(toks, Tensor(np.zeros((4, 8))), [1, 3])
+
+    def test_batch_is_mean_of_per_record_means(self):
+        rng = np.random.Generator(np.random.PCG64(3))
+        ids = np.array([[1, 5, 6, 7], [1, 4, 0, 0], [1, 0, 0, 0]])
+        pad = ids != 0
+        logits = rng.normal(size=(3, 4, 8))
+        masked = np.array([positions(4, [1, 2, 3]), positions(4, [1]),
+                           positions(4, [])])
+        got = text_recon_loss(ids, pad, Tensor(logits), masked).item()
+        expected = sum(text_recon_loss(ids[j], pad[j], Tensor(logits[j]),
+                                       masked[j]).item() for j in range(3)) / 3
+        assert abs(got - expected) < 1e-14
 
 
 class TestClassificationLoss:
@@ -195,6 +237,17 @@ class TestClassificationLoss:
     def test_gradient(self):
         logits = Tensor([0.4, -1.2, 0.8], requires_grad=True)
         assert finite_diff_check(lambda t: classification_loss(t, 2), logits) < 1e-4
+
+    def test_batch_is_mean_over_records(self):
+        logits = np.array([[1.0, 2.0, 0.0], [0.5, -0.5, 3.0]])
+        got = classification_loss(Tensor(logits), [1, 2]).item()
+        expected = (classification_loss(Tensor(logits[0]), 1).item()
+                    + classification_loss(Tensor(logits[1]), 2).item()) / 2
+        assert abs(got - expected) < 1e-15
+
+    def test_invalid_label_in_batch(self):
+        with pytest.raises(LabelError):
+            classification_loss(Tensor(np.zeros((2, 3))), [0, 3])
 
 
 class TestTotalLoss:

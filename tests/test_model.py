@@ -3,13 +3,14 @@ import pytest
 
 from alignfuse.data import (
     CLS_ID,
+    Batch,
     PatchGrid,
     TokenSequence,
     build_vocab,
     patchify,
     tokenize,
 )
-from alignfuse.errors import ConfigError, DimensionError, VocabError
+from alignfuse.errors import ConfigError, ContractError, DimensionError, VocabError
 from alignfuse.model import AlignFuseModel, ModelConfig
 from alignfuse.tensor import RngStream, Tensor, finite_diff_check
 
@@ -35,6 +36,10 @@ def tiny_inputs(cfg, seed=0):
     return patches, TokenSequence(ids=ids, pad_mask=mask, length=n_real)
 
 
+def one_batch(patches, toks):
+    return Batch.stack([patches], [toks])
+
+
 class TestModelConfig:
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
@@ -48,20 +53,25 @@ class TestModelConfig:
         cfg = tiny_config()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_loads_config_with_removed_field(self):
+        cfg = tiny_config()
+        old = {**cfg.to_dict(), "recon_masked_only": True}
+        assert ModelConfig.from_dict(old) == cfg
+
 
 class TestEmbedImage:
     def test_row_count(self):
         cfg = tiny_config(patch_size=8, volume_side=16)
         model = AlignFuseModel(cfg, seed=0)
         patches = patchify(np.zeros((16, 16, 16)), 8)
-        assert model.embed_image(patches).shape == (9, cfg.d_model)
+        assert model.embed_image(patches.patches[None]).shape == (1, 9, cfg.d_model)
 
     def test_zero_patches_zero_lp_gives_pe_plus_cls(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         model.params["img.lp.w"].data[:] = 0.0
         patches = patchify(np.zeros((4, 4, 4)), 2)
-        h = model.embed_image(patches)
+        h = model.embed_image(patches.patches[None])[0]
         pe = model.params["img.pe"].data
         cls = model.params["img.cls"].data
         assert np.allclose(h.data[0], cls + pe[0])
@@ -74,8 +84,7 @@ class TestEmbedImage:
         p2 = PatchGrid(patches=p1.patches.copy(), side=p1.side,
                        patch_size=p1.patch_size)
         p2.patches[3] += 1.0
-        h1 = model.embed_image(p1).data
-        h2 = model.embed_image(p2).data
+        h1, h2 = model.embed_image(np.stack([p1.patches, p2.patches])).data
         diff_rows = np.where(np.abs(h1 - h2).sum(axis=1) > 0)[0]
         assert np.array_equal(diff_rows, [4])  # row 0 is [CLS]
 
@@ -83,7 +92,7 @@ class TestEmbedImage:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         with pytest.raises(DimensionError):
-            model.embed_image(patchify(np.zeros((8, 8, 8)), 2))
+            model.embed_image(patchify(np.zeros((8, 8, 8)), 2).patches[None])
 
 
 class TestEmbedText:
@@ -91,8 +100,8 @@ class TestEmbedText:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         _, toks = tiny_inputs(cfg)
-        assert np.array_equal(model.embed_text(toks).data,
-                              model.embed_text(toks).data)
+        assert np.array_equal(model.embed_text(toks.ids[None]).data,
+                              model.embed_text(toks.ids[None]).data)
 
     def test_pad_rows_carry_pad_embedding(self):
         cfg = tiny_config()
@@ -100,7 +109,7 @@ class TestEmbedText:
         toks = TokenSequence(ids=np.array([CLS_ID] + [0] * 7),
                              pad_mask=np.array([True] + [False] * 7),
                              length=1)
-        h = model.embed_text(toks).data
+        h = model.embed_text(toks.ids[None]).data[0]
         pad_emb = model.params["txt.emb"].data[0]
         pe = model.params["txt.pe"].data
         assert np.allclose(h[1:], pad_emb + pe[1:])
@@ -113,8 +122,7 @@ class TestEmbedText:
         ids2[1], ids2[2] = ids2[2], ids2[1]
         toks2 = TokenSequence(ids=ids2, pad_mask=toks.pad_mask, length=toks.length)
         pe = model.params["txt.pe"].data
-        h1 = model.embed_text(toks).data - pe
-        h2 = model.embed_text(toks2).data - pe
+        h1, h2 = model.embed_text(np.stack([toks.ids, toks2.ids])).data - pe
         assert np.allclose(h1[1], h2[2]) and np.allclose(h1[2], h2[1])
 
     def test_out_of_range_id(self):
@@ -124,40 +132,56 @@ class TestEmbedText:
                              pad_mask=np.array([True, True] + [False] * 6),
                              length=2)
         with pytest.raises(VocabError):
-            model.embed_text(toks)
+            model.embed_text(toks.ids[None])
 
 
 class TestApplyMask:
     def setup_method(self):
         self.cfg = tiny_config(patch_size=2, volume_side=6)  # 27 patches
         self.model = AlignFuseModel(self.cfg, seed=0)
-        self.h = self.model.embed_image(tiny_inputs(self.cfg)[0])
+        self.h = self.model.embed_image(tiny_inputs(self.cfg)[0].patches[None])
+
+    def mask(self, seed, **kw):
+        h2, chosen = self.model.apply_mask(self.h, "img", [RngStream(seed)], **kw)
+        return h2, np.flatnonzero(chosen[0])
 
     def test_ratio_zero_is_identity(self):
-        h2, idx = self.model.apply_mask(self.h, "img", RngStream(0), ratio=0.0)
+        h2, idx = self.mask(0, ratio=0.0)
         assert h2 is self.h and idx.size == 0
 
     def test_exact_mask_count(self):
-        h2, idx = self.model.apply_mask(self.h, "img", RngStream(1), ratio=0.5)
+        h2, idx = self.mask(1, ratio=0.5)
         assert idx.size == 13  # floor(0.5 * 27)
 
     def test_seed_determinism(self):
-        _, i1 = self.model.apply_mask(self.h, "img", RngStream(7))
-        _, i2 = self.model.apply_mask(self.h, "img", RngStream(7))
+        _, i1 = self.mask(7)
+        _, i2 = self.mask(7)
         assert np.array_equal(i1, i2)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_cls_never_masked(self, seed):
-        _, idx = self.model.apply_mask(self.h, "img", RngStream(seed), ratio=0.9)
+        _, idx = self.mask(seed, ratio=0.9)
         assert 0 not in idx
 
     def test_masked_rows_are_mask_embedding_plus_pe(self):
-        h2, idx = self.model.apply_mask(self.h, "img", RngStream(3))
+        h2, idx = self.mask(3)
         expected = (self.model.params["img.mask"].data
                     + self.model.params["img.pe"].data[idx])
-        assert np.allclose(h2.data[idx], expected)
-        kept = np.setdiff1d(np.arange(self.h.shape[0]), idx)
-        assert np.array_equal(h2.data[kept], self.h.data[kept])
+        assert np.allclose(h2.data[0, idx], expected)
+        kept = np.setdiff1d(np.arange(self.h.shape[1]), idx)
+        assert np.array_equal(h2.data[0, kept], self.h.data[0, kept])
+
+    def test_rows_draw_from_their_own_stream(self):
+        h = self.model.embed_image(np.stack([tiny_inputs(self.cfg, seed=s)[0].patches
+                                             for s in (0, 1)]))
+        _, chosen = self.model.apply_mask(h, "img", [RngStream(5), RngStream(6)])
+        assert np.array_equal(np.flatnonzero(chosen[0]), self.mask(5)[1])
+        assert np.array_equal(np.flatnonzero(chosen[1]), self.mask(6)[1])
+
+    def test_maskable_cls_is_a_contract_error(self):
+        with pytest.raises(ContractError):
+            self.model.apply_mask(self.h, "img", [RngStream(0)],
+                                  maskable=np.ones(self.h.shape[:2], dtype=bool))
 
 
 class TestEncoders:
@@ -165,7 +189,7 @@ class TestEncoders:
         cfg = tiny_config(n_enc_layers=0)
         model = AlignFuseModel(cfg, seed=0)
         patches, _ = tiny_inputs(cfg)
-        h = model.embed_image(patches)
+        h = model.embed_image(patches.patches[None])
         z = model.encode_unimodal(h, "img")
         assert np.array_equal(z.data, h.data)
 
@@ -174,8 +198,8 @@ class TestEncoders:
         model = AlignFuseModel(cfg, seed=0)
         _, toks = tiny_inputs(cfg)
         rec = []
-        model.encode_unimodal(model.embed_text(toks), "txt",
-                              pad_mask=toks.pad_mask, record_attn=rec)
+        model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
+                              pad_mask=toks.pad_mask[None], record_attn=rec)
         for att in rec:
             assert np.allclose(att.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -184,22 +208,23 @@ class TestEncoders:
         model = AlignFuseModel(cfg, seed=0)
         _, toks = tiny_inputs(cfg)
         rec = []
-        model.encode_unimodal(model.embed_text(toks), "txt",
-                              pad_mask=toks.pad_mask, record_attn=rec)
+        model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
+                              pad_mask=toks.pad_mask[None], record_attn=rec)
         for att in rec:
-            assert np.all(att[:, :, ~toks.pad_mask] == 0.0)
+            assert np.all(att[0][:, :, ~toks.pad_mask] == 0.0)
 
     def test_grounded_with_zero_ca_output_equals_unimodal(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
-        h = model.embed_image(patches)
-        z_other = model.encode_unimodal(model.embed_text(toks), "txt",
-                                        pad_mask=toks.pad_mask)
+        h = model.embed_image(patches.patches[None])
+        z_other = model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
+                                        pad_mask=toks.pad_mask[None])
         for i in range(cfg.n_enc_layers):
             model.params[f"img.ca.{i}.wo.w"].data[:] = 0.0
             model.params[f"img.ca.{i}.wo.b"].data[:] = 0.0
-        zg = model.encode_grounded(h, z_other, "img", other_pad_mask=toks.pad_mask)
+        zg = model.encode_grounded(h, z_other, "img",
+                                   other_pad_mask=toks.pad_mask[None])
         zu = model.encode_unimodal(h, "img")
         assert np.allclose(zg.data, zu.data)
 
@@ -207,25 +232,25 @@ class TestEncoders:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
-        h = model.embed_image(patches)
-        z_other = model.encode_unimodal(model.embed_text(toks), "txt",
-                                        pad_mask=toks.pad_mask)
+        h = model.embed_image(patches.patches[None])
+        z_other = model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
+                                        pad_mask=toks.pad_mask[None])
         z1 = model.encode_grounded(h, z_other, "img",
-                                   other_pad_mask=toks.pad_mask).data
-        bumped = Tensor(z_other.data + np.eye(1, z_other.shape[0], 2).T * 0.5)
+                                   other_pad_mask=toks.pad_mask[None]).data
+        bumped = Tensor(z_other.data + np.eye(1, z_other.shape[1], 2).T * 0.5)
         z2 = model.encode_grounded(h, bumped, "img",
-                                   other_pad_mask=toks.pad_mask).data
+                                   other_pad_mask=toks.pad_mask[None]).data
         assert not np.array_equal(z1, z2)
 
 
 class TestWeightSharing:
     def _outputs(self, model, patches, toks):
-        h = model.embed_image(patches)
-        z_txt = model.encode_unimodal(model.embed_text(toks), "txt",
-                                      pad_mask=toks.pad_mask)
+        h = model.embed_image(patches.patches[None])
+        z_txt = model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
+                                      pad_mask=toks.pad_mask[None])
         zu = model.encode_unimodal(h, "img").data.copy()
         zg = model.encode_grounded(h, z_txt, "img",
-                                   other_pad_mask=toks.pad_mask).data.copy()
+                                   other_pad_mask=toks.pad_mask[None]).data.copy()
         return zu, zg
 
     def test_sa_weight_touches_both_paths(self):
@@ -252,12 +277,13 @@ class TestWeightSharing:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
-        h_txt = model.embed_text(toks)
-        z_img = model.encode_unimodal(model.embed_image(patches), "img")
+        h_txt = model.embed_text(toks.ids[None])
+        z_img = model.encode_unimodal(model.embed_image(patches.patches[None]), "img")
+        pad = toks.pad_mask[None]
 
         def outs():
-            zu = model.encode_unimodal(h_txt, "txt", pad_mask=toks.pad_mask)
-            zg = model.encode_grounded(h_txt, z_img, "txt", pad_mask=toks.pad_mask)
+            zu = model.encode_unimodal(h_txt, "txt", pad_mask=pad)
+            zg = model.encode_grounded(h_txt, z_img, "txt", pad_mask=pad)
             return zu.data.copy(), zg.data.copy()
 
         zu0, zg0 = outs()
@@ -274,19 +300,19 @@ class TestDecode:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
-        z = model.encode_unimodal(model.embed_image(patches), "img")
+        z = model.encode_unimodal(model.embed_image(patches.patches[None]), "img")
         out = model.decode_modality(z, "img")
-        assert out.shape == (cfg.n_patches, cfg.patch_voxels)
+        assert out.shape == (1, cfg.n_patches, cfg.patch_voxels)
 
     def test_zero_blocks_is_linear_head(self):
         cfg = tiny_config(n_dec_layers=0)
         model = AlignFuseModel(cfg, seed=0)
         patches, _ = tiny_inputs(cfg)
-        z = model.embed_image(patches)
+        z = model.embed_image(patches.patches[None])
         out = model.decode_modality(z, "img")
         w = model.params["img.dec.head.w"].data
         b = model.params["img.dec.head.b"].data
-        assert np.allclose(out.data, (z.data @ w + b)[1:])
+        assert np.allclose(out.data[0], (z.data[0] @ w + b)[1:])
 
     def test_text_logits_make_distributions(self):
         from alignfuse.tensor import softmax as sm
@@ -294,10 +320,10 @@ class TestDecode:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         _, toks = tiny_inputs(cfg)
-        z = model.encode_unimodal(model.embed_text(toks), "txt",
-                                  pad_mask=toks.pad_mask)
-        logits = model.decode_modality(z, "txt", pad_mask=toks.pad_mask)
-        assert logits.shape == (cfg.l_max, cfg.vocab_size)
+        z = model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
+                                  pad_mask=toks.pad_mask[None])
+        logits = model.decode_modality(z, "txt", pad_mask=toks.pad_mask[None])
+        assert logits.shape == (1, cfg.l_max, cfg.vocab_size)
         probs = sm(logits, axis=-1).data
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -308,14 +334,14 @@ class TestFuseClassify:
         model = AlignFuseModel(cfg, seed=0)
         for name in ("fusion.l1.w", "fusion.l1.b", "fusion.l2.w", "fusion.l2.b"):
             model.params[name].data[:] = 0.0
-        logits = model.fuse_classify(Tensor(np.ones(8)), Tensor(np.ones(8)))
+        logits = model.fuse_classify(Tensor(np.ones((1, 8))), Tensor(np.ones((1, 8))))
         assert np.all(logits.data == 0.0)
 
     def test_concat_order_matters(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
-        zi = Tensor(np.linspace(-1, 1, 8))
-        zt = Tensor(np.linspace(1, -1, 8) * 0.5)
+        zi = Tensor(np.linspace(-1, 1, 8).reshape(1, -1))
+        zt = Tensor(np.linspace(1, -1, 8).reshape(1, -1) * 0.5)
         a = model.fuse_classify(zi, zt).data
         b = model.fuse_classify(zt, zi).data
         assert not np.allclose(a, b)
@@ -328,41 +354,41 @@ class TestFuseClassify:
         model.params["fusion.l1.b"].data = np.array([0.1, -0.2])
         model.params["fusion.l2.w"].data = np.array([[1.0, 2.0], [3.0, -1.0]])
         model.params["fusion.l2.b"].data = np.array([0.0, 1.0])
-        zi, zt = Tensor([1.0, 2.0]), Tensor([3.0, -1.0])
+        zi, zt = Tensor([[1.0, 2.0]]), Tensor([[3.0, -1.0]])
         # hidden = relu([1,2,3,-1] @ w1 + b1) = relu([3.6, -1.7]) = [3.6, 0]
         # logits = [3.6*1 + 0*3, 3.6*2 - 0] + [0, 1] = [3.6, 8.2]
         logits = model.fuse_classify(zi, zt)
-        assert np.allclose(logits.data, [3.6, 8.2])
+        assert np.allclose(logits.data, [[3.6, 8.2]])
 
 
 class TestForwardTrainingPass:
     def test_mask_ratio_zero_convention(self):
         cfg = tiny_config(mask_ratio=0.0)
         model = AlignFuseModel(cfg, seed=0)
-        patches, toks = tiny_inputs(cfg)
-        out = model.forward_training_pass(patches, toks, RngStream(0))
-        assert out.masked_patch_idx.size == 0
-        assert out.masked_token_idx.size == 0
-        assert out.recon_image.shape == (cfg.n_patches, cfg.patch_voxels)
+        out = model.forward_training_pass(one_batch(*tiny_inputs(cfg)), RngStream(0))
+        assert not out.masked_patches.any()
+        assert not out.masked_tokens.any()
+        assert out.recon_image.shape == (1, cfg.n_patches, cfg.patch_voxels)
 
     def test_bitwise_determinism(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
-        patches, toks = tiny_inputs(cfg)
-        o1 = model.forward_training_pass(patches, toks, RngStream(5))
-        o2 = model.forward_training_pass(patches, toks, RngStream(5))
+        batch = one_batch(*tiny_inputs(cfg))
+        o1 = model.forward_training_pass(batch, RngStream(5))
+        o2 = model.forward_training_pass(batch, RngStream(5))
         assert np.array_equal(o1.class_logits.data, o2.class_logits.data)
         assert np.array_equal(o1.recon_image.data, o2.recon_image.data)
         assert np.array_equal(o1.recon_text_logits.data, o2.recon_text_logits.data)
-        assert np.array_equal(o1.masked_patch_idx, o2.masked_patch_idx)
+        assert np.array_equal(o1.masked_patches, o2.masked_patches)
 
     def test_masked_token_positions_are_real(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
-        patches, toks = tiny_inputs(cfg)
-        out = model.forward_training_pass(patches, toks, RngStream(9))
-        assert out.masked_token_idx.min() >= 1
-        assert toks.pad_mask[out.masked_token_idx].all()
+        batch = one_batch(*tiny_inputs(cfg))
+        out = model.forward_training_pass(batch, RngStream(9))
+        assert out.masked_tokens.any()
+        assert not out.masked_tokens[:, 0].any()
+        assert batch.pad_mask[out.masked_tokens].all()
 
     def test_shared_weight_gets_grad_from_either_pass(self):
         from alignfuse.losses import (
@@ -374,20 +400,19 @@ class TestForwardTrainingPass:
         )
 
         cfg = tiny_config()
-        patches, toks = tiny_inputs(cfg)
+        batch = one_batch(*tiny_inputs(cfg))
         name = "img.enc.0.sa.wv.w"
 
         def grad_norm(w_contrast, w_recon):
             model = AlignFuseModel(cfg, seed=0)
-            out = model.forward_training_pass(patches, toks, RngStream(0))
-            contrast = itc_loss(out.z_image_cls.reshape(1, -1),
-                                out.z_text_cls.reshape(1, -1),
+            out = model.forward_training_pass(batch, RngStream(0))
+            contrast = itc_loss(out.z_image_cls, out.z_text_cls,
                                 model.temperature())
-            recon = image_recon_loss(patches.patches, out.recon_image,
-                                     out.masked_patch_idx) \
-                + text_recon_loss(toks, out.recon_text_logits,
-                                  out.masked_token_idx)
-            cls = classification_loss(out.class_logits, 1)
+            recon = image_recon_loss(batch.patches, out.recon_image,
+                                     out.masked_patches) \
+                + text_recon_loss(batch.ids, batch.pad_mask,
+                                  out.recon_text_logits, out.masked_tokens)
+            cls = classification_loss(out.class_logits, [1])
             loss = w_contrast * (contrast + cls) + w_recon * recon
             loss.backward()
             return float(np.abs(model.params[name].grad).sum())
@@ -395,6 +420,86 @@ class TestForwardTrainingPass:
         # either pass alone reaches the shared SA weight
         assert grad_norm(1.0, 0.0) > 0.0
         assert grad_norm(0.0, 1.0) > 0.0
+
+
+def ragged_batch(cfg, lengths):
+    """Records whose texts have the given real lengths ([CLS] included)."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    patches, tokens = [], []
+    for i, n_real in enumerate(lengths):
+        patches.append(tiny_inputs(cfg, seed=i)[0])
+        ids = np.zeros(cfg.l_max, dtype=np.int64)
+        ids[0] = CLS_ID
+        ids[1:n_real] = rng.integers(4, cfg.vocab_size, n_real - 1)
+        tokens.append(TokenSequence(ids=ids, pad_mask=np.arange(cfg.l_max) < n_real,
+                                    length=n_real))
+    return patches, tokens
+
+
+class TestBatchMajor:
+    def test_text_trimmed_to_longest_record(self):
+        cfg = tiny_config(l_max=12)
+        batch = Batch.stack(*ragged_batch(cfg, [3, 7, 5]))
+        assert batch.ids.shape == (3, 7)
+        assert np.array_equal(batch.pad_mask.sum(axis=1), [3, 7, 5])
+
+    def test_batch_loss_equals_mean_of_single_records(self):
+        from alignfuse.losses import LossWeights
+        from alignfuse.train import batch_loss
+
+        cfg = tiny_config(l_max=12)
+        model = AlignFuseModel(cfg, seed=2)
+        patches, tokens = ragged_batch(cfg, [3, 9, 6, 12])
+        labels = [0, 1, 2, 1]
+        rng = RngStream(23)
+
+        class RowOf:
+            """Stream for a one-record batch whose row 0 is row j of `rng`."""
+
+            def __init__(self, j):
+                self.j = j
+
+            def child(self, tag):
+                assert tag == 0
+                return rng.child(self.j)
+
+        whole = batch_loss(model, Batch.stack(patches, tokens, labels),
+                           LossWeights(), rng).scalars()
+        singles = [batch_loss(model, Batch.stack([p], [t], [y]), LossWeights(),
+                              RowOf(j)).scalars()
+                   for j, (p, t, y) in enumerate(zip(patches, tokens, labels))]
+        out = model.forward_training_pass(Batch.stack(patches, tokens), rng)
+        for j, (p, t) in enumerate(zip(patches, tokens)):
+            one = model.forward_training_pass(Batch.stack([p], [t]), RowOf(j))
+            assert np.array_equal(out.masked_patches[j], one.masked_patches[0])
+            n = one.masked_tokens.shape[1]
+            assert np.array_equal(out.masked_tokens[j, :n], one.masked_tokens[0])
+            assert not out.masked_tokens[j, n:].any()
+        for key in ("l_res_image", "l_res_text", "l_cls"):
+            expected = np.mean([s[key] for s in singles])
+            assert abs(whole[key] - expected) < 1e-10, key
+
+    def test_trimmed_classify_matches_text_padded_to_l_max(self):
+        cfg = tiny_config(l_max=12)
+        model = AlignFuseModel(cfg, seed=4)
+        patches, tokens = ragged_batch(cfg, [3, 8, 5])
+        trimmed = Batch.stack(patches, tokens)
+        padded = Batch(patches=trimmed.patches,
+                       ids=np.stack([t.ids for t in tokens]),
+                       pad_mask=np.stack([t.pad_mask for t in tokens]))
+        assert trimmed.ids.shape[1] < padded.ids.shape[1]
+        for a, b in zip(model.classify(trimmed), model.classify(padded)):
+            assert np.allclose(a.data, b.data, rtol=0.0, atol=1e-12)
+
+    def test_per_row_pad_bias_isolates_records(self):
+        cfg = tiny_config(l_max=12)
+        model = AlignFuseModel(cfg, seed=4)
+        patches, tokens = ragged_batch(cfg, [3, 8, 5])
+        batch = Batch.stack(patches, tokens)
+        logits = model.classify(batch)[0].data
+        for j, (p, t) in enumerate(zip(patches, tokens)):
+            alone = model.classify(Batch.stack([p], [t]))[0].data[0]
+            assert np.allclose(logits[j], alone, rtol=0.0, atol=1e-12)
 
 
 class TestAttentionMap:
@@ -424,20 +529,38 @@ class TestAttentionMap:
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
         rec = []
-        model.encode_unimodal(model.embed_image(patches), "img", record_attn=rec)
-        row = rec[-1][:, 0, 1:].mean(axis=0)
+        model.encode_unimodal(model.embed_image(patches.patches[None]), "img",
+                              record_attn=rec)
+        row = rec[-1][0, :, 0, 1:].mean(axis=0)
         heat, _ = model.extract_attention_map(patches, toks)
         assert np.allclose(heat.reshape(-1), row / row.sum())
+
+    def test_text_weights_span_l_max_with_zeros_at_cls_and_pads(self):
+        cfg = tiny_config(l_max=12)
+        model = AlignFuseModel(cfg, seed=0)
+        (patches,), (toks,) = ragged_batch(cfg, [5])
+        _, txt = model.extract_attention_map(patches, toks)
+        assert txt.shape == (cfg.l_max,)
+        assert txt[0] == 0.0 and np.all(txt[5:] == 0.0)
+        assert np.all(txt[1:5] > 0.0) and np.isclose(txt.sum(), 1.0, atol=1e-12)
+        # the same weights as the [CLS] row of the full-length encoding
+        rec = []
+        model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
+                              pad_mask=toks.pad_mask[None], record_attn=rec)
+        row = rec[-1][0, :, 0, :].mean(axis=0)
+        row[0] = 0.0
+        assert np.allclose(txt, row / row.sum(), rtol=0.0, atol=1e-12)
 
 
 class TestFullModelGradient:
     def test_full_loss_finite_difference(self):
         from alignfuse.losses import LossWeights
-        from alignfuse.train import batch_loss, Example
+        from alignfuse.train import batch_loss, collate, Example
 
         cfg = tiny_config()  # d_model=8, N_e=1, N_d=1, P=8, L_max=8
         model = AlignFuseModel(cfg, seed=3)
-        exs = [Example(*tiny_inputs(cfg, seed=s), label=s % 3) for s in (1, 2)]
+        batch = collate([Example(*tiny_inputs(cfg, seed=s), label=s % 3)
+                         for s in (1, 2)])
 
         checked = ["img.enc.0.sa.wq.w", "txt.ca.0.wk.w", "fusion.l1.w",
                    "img.mask", "txt.emb", "log_tau", "img.dec.head.w"]
@@ -447,7 +570,7 @@ class TestFullModelGradient:
             def f(t):
                 for q in model.params.values():
                     q.grad = None
-                return batch_loss(model, exs, LossWeights(),
+                return batch_loss(model, batch, LossWeights(),
                                   RngStream(11)).total
 
             err = finite_diff_check(f, p, max_elements=6, rng=RngStream(1))

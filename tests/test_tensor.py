@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignfuse.errors import (
     ContractError,
@@ -19,7 +21,6 @@ from alignfuse.tensor import (
     log_softmax,
     no_grad,
     softmax,
-    stack_rows,
     unit_rows,
 )
 
@@ -61,6 +62,26 @@ class TestMatmul:
         out = a @ b
         assert out.shape == (3, 4, 2)
         assert np.allclose(out.data, a.data @ b.data)
+
+    def test_batched_rows_times_weight_finite_difference(self):
+        x = rand_tensor((3, 4, 5), seed=6)
+        w = rand_tensor((5, 2), seed=7)
+        c = Tensor(np.random.default_rng(8).normal(size=(3, 4, 2)))
+        assert finite_diff_check(lambda t: ((x @ t) * c).sum(), w) < 1e-6
+        assert finite_diff_check(lambda t: ((t @ w) * c).sum(), x) < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.integers(1, 4), n=st.integers(1, 5), d=st.integers(1, 6),
+           k=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_batched_weight_grad_matches_per_row_sum(self, b, n, d, k, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+        w = Tensor(rng.normal(size=(d, k)), requires_grad=True)
+        c = rng.normal(size=(b, n, k))
+        ((x @ w) * Tensor(c)).sum().backward()
+        np.testing.assert_allclose(w.grad, np.einsum("bnd,bnk->dk", x.data, c),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x.grad, c @ w.data.T, rtol=1e-12, atol=1e-12)
 
 
 class TestSoftmax:
@@ -191,6 +212,32 @@ class TestBackward:
             Tensor([-1.0]).log()
 
 
+class TestGetitem:
+    def weights(self, shape):
+        return Tensor(np.random.default_rng(9).normal(size=shape))
+
+    def test_int_key(self):
+        x = rand_tensor((3, 4, 2), seed=10)
+        c = self.weights((4, 2))
+        assert finite_diff_check(lambda t: (t[1] * c).sum(), x) < 1e-6
+
+    def test_slice_keys(self):
+        x = rand_tensor((3, 4, 2), seed=11)
+        c = self.weights((3, 3, 2))
+        assert finite_diff_check(lambda t: (t[:, 1:] * c).sum(), x) < 1e-6
+        c0 = self.weights((3, 2))
+        assert finite_diff_check(lambda t: (t[:, 0] * c0).sum(), x) < 1e-6
+
+    def test_repeated_fancy_index_accumulates(self):
+        x = rand_tensor((4, 3), seed=12)
+        c = self.weights((5, 3))
+        idx = np.array([2, 0, 2, 2, 3])
+        assert finite_diff_check(lambda t: (t[idx] * c).sum(), x) < 1e-6
+        x.grad = None
+        x[idx].sum().backward()
+        assert np.array_equal(x.grad[:, 0], [1.0, 0.0, 3.0, 1.0])
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_is_nearly_exact(self):
         x = rand_tensor((5,), seed=2)
@@ -248,10 +295,6 @@ class TestMisc:
         with no_grad():
             y = (x * x).sum()
         assert not y.requires_grad
-
-    def test_stack_rows(self):
-        out = stack_rows([Tensor([1.0, 2.0]), Tensor([3.0, 4.0])])
-        assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_unit_rows(self):
         x = rand_tensor((4, 6), seed=8)

@@ -102,6 +102,33 @@ class TestAdamW:
         with pytest.raises(NumericError):
             opt.step()
 
+    def test_grad_clip_caps_global_norm(self):
+        cfg = TrainConfig(lr=0.1, grad_clip=1.0)
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([[0.5]]), requires_grad=True)
+        opt = AdamW({"a": a, "b": b}, cfg)
+        a.grad, b.grad = np.array([3.0, 4.0]), np.array([[12.0]])  # norm 13
+        opt.step()
+        norm = math.sqrt((a.grad ** 2).sum() + (b.grad ** 2).sum())
+        assert norm <= 1.0 + 1e-12
+        assert np.allclose(a.grad, [3.0 / 13.0, 4.0 / 13.0])
+
+    def test_grad_clip_leaves_small_gradients_alone(self):
+        grads = {"a": np.array([0.3, -0.4]), "b": np.array([[0.1]])}  # norm < 1
+        results = []
+        for clip in (1.0, None):
+            params = {"a": Tensor(np.array([1.0, 2.0]), requires_grad=True),
+                      "b": Tensor(np.array([[0.5]]), requires_grad=True)}
+            opt = AdamW(params, TrainConfig(lr=0.1, grad_clip=clip))
+            for k, p in params.items():
+                p.grad = grads[k].copy()
+            opt.step()
+            for k, p in params.items():
+                assert np.array_equal(p.grad, grads[k])
+            results.append({k: p.data.copy() for k, p in params.items()})
+        for k in grads:
+            assert np.array_equal(results[0][k], results[1][k])
+
     def test_state_roundtrip(self):
         p, opt = self.make(1.0)
         p.grad = np.array([0.2])
