@@ -156,17 +156,12 @@ def _load_examples(dataset: str, model: AlignFuseModel, vocab):
 def cmd_train(args) -> int:
     model_cfg, train_cfg = load_run_config(args.config, args.seed)
     records = load_dataset(Path(args.dataset))
-    labels = {r.label for r in records}
-    if labels and max(labels) >= model_cfg.n_classes:
-        raise ConfigError(
-            f"dataset has label {max(labels)} but model expects "
-            f"{model_cfg.n_classes} classes")
+    vocab = build_vocab(dataset_corpus(records), max_size=model_cfg.vocab_size)
+    examples = prepare_examples(records, vocab, model_cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    vocab = build_vocab(dataset_corpus(records), max_size=model_cfg.vocab_size)
     model = AlignFuseModel(model_cfg, seed=train_cfg.seed)
-    examples = prepare_examples(records, vocab, model_cfg)
     optim = AdamW(model.params, train_cfg)
 
     write_run_manifest(out_dir, "train", args.dataset, model_cfg, train_cfg)

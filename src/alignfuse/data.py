@@ -372,7 +372,10 @@ def read_volume(path: Path) -> np.ndarray:
         payload = fh.read(count * 8)
         if len(payload) != count * 8:
             raise DataFormatError(f"{path}: truncated volume payload")
-        return np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        volume = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+    if not np.isfinite(volume).all():
+        raise DataFormatError(f"{path}: non-finite voxel values")
+    return volume
 
 
 def save_dataset(records: list[PatientRecord], out_dir: Path) -> Path:
@@ -400,7 +403,7 @@ def load_dataset(manifest_path: Path) -> list[PatientRecord]:
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.jsonl"
-    root = manifest_path.parent
+    root = manifest_path.parent.resolve()
     records = []
     with open(manifest_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -411,17 +414,28 @@ def load_dataset(manifest_path: Path) -> list[PatientRecord]:
             except json.JSONDecodeError as exc:
                 raise DataFormatError(
                     f"{manifest_path}: malformed manifest line {lineno}: {exc}") from exc
-            try:
-                records.append(PatientRecord(
-                    volume=read_volume(root / obj["volume"]),
-                    label=int(obj["label"]),
-                    demographics=obj.get("demographics") or {},
-                    lab_results=obj.get("lab_results") or {},
-                    narrative=obj.get("narrative"),
-                ))
-            except KeyError as exc:
-                raise DataFormatError(
-                    f"{manifest_path}: manifest line {lineno} missing field {exc}") from exc
+            where = f"{manifest_path}: manifest line {lineno}"
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"{where} is not a JSON object")
+            for key in ("volume", "label"):
+                if key not in obj:
+                    raise DataFormatError(f"{where} missing field {key!r}")
+            label, volume = obj["label"], obj["volume"]
+            if not isinstance(label, int) or isinstance(label, bool) or label < 0:
+                raise DataFormatError(f"{where}: label {label!r} is not a non-negative integer")
+            if not isinstance(volume, str) or not (root / volume).resolve().is_relative_to(root):
+                raise DataFormatError(f"{where}: volume {volume!r} is not a path inside {root}")
+            demographics = obj.get("demographics") or {}
+            lab_results = obj.get("lab_results") or {}
+            narrative = obj.get("narrative")
+            if not (isinstance(demographics, dict) and isinstance(lab_results, dict)
+                    and isinstance(narrative, (str, type(None)))):
+                raise DataFormatError(f"{where}: demographics and lab_results must be "
+                                      "objects and narrative a string or null")
+            records.append(PatientRecord(
+                volume=read_volume(root / volume), label=label,
+                demographics=demographics, lab_results=lab_results,
+                narrative=narrative))
     if not records:
         raise DataFormatError(f"{manifest_path}: empty dataset")
     return records

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, LabelError, NumericError
-from .tensor import Tensor, log_softmax, unit_rows
+from .tensor import Tensor, as_tensor, cross_entropy, unit_rows
 
 
 @dataclass
@@ -30,7 +30,6 @@ class LossBreakdown:
     recon_text: Tensor
     classification: Tensor
     total: Tensor
-    weights: LossWeights
 
     def scalars(self) -> dict[str, float]:
         return {
@@ -54,13 +53,9 @@ def itc_loss(z_image: Tensor, z_text: Tensor, tau) -> Tensor:
     b = z_image.shape[0]
     zi = unit_rows(z_image)
     zt = unit_rows(z_text)
-    if not isinstance(tau, Tensor):
-        tau = Tensor(np.array(float(tau)))
-    sims = (zi @ zt.T) * tau.reshape(1, 1) ** -1.0  # (b, b)
-    diag = Tensor(np.eye(b))
-    loss_i2t = -(log_softmax(sims, axis=1) * diag).sum() * (1.0 / b)
-    loss_t2i = -(log_softmax(sims, axis=0) * diag).sum() * (1.0 / b)
-    return loss_i2t + loss_t2i
+    sims = (zi @ zt.T) * as_tensor(tau).reshape(1, 1) ** -1.0  # (b, b)
+    pairs = np.arange(b)
+    return cross_entropy(sims, pairs, 1.0 / b) + cross_entropy(sims.T, pairs, 1.0 / b)
 
 
 def image_recon_loss(target: np.ndarray, recon: Tensor,
@@ -96,11 +91,9 @@ def text_recon_loss(ids: np.ndarray, pad_mask: np.ndarray, logits: Tensor,
         raise ContractError("masked positions must be real tokens")
     n_records = masked.size // masked.shape[-1]
     where = np.nonzero(masked)
-    logp = log_softmax(logits[where], axis=-1)
-    picked = np.zeros(logp.shape)  # each record's targets weigh 1 / (its count * records)
-    picked[np.arange(len(where[0])), ids[where]] = \
-        1.0 / (masked.sum(axis=-1)[where[:-1]] * n_records)
-    return -(logp * Tensor(picked)).sum()
+    # each record's targets weigh 1 / (its count * records)
+    return cross_entropy(logits[where], ids[where],
+                         1.0 / (masked.sum(axis=-1)[where[:-1]] * n_records))
 
 
 def classification_loss(class_logits: Tensor, labels) -> Tensor:
@@ -112,8 +105,7 @@ def classification_loss(class_logits: Tensor, labels) -> Tensor:
     bad = labels[(labels < 0) | (labels >= n)]
     if bad.size:
         raise LabelError(f"label {bad[0]} outside [0, {n})")
-    logp = log_softmax(class_logits, axis=-1)
-    return -(logp * Tensor(np.eye(n)[labels] / max(labels.size, 1))).sum()
+    return cross_entropy(class_logits, labels, 1.0 / max(labels.size, 1))
 
 
 def total_loss(contrastive: Tensor, recon_image: Tensor, recon_text: Tensor,
@@ -128,4 +120,4 @@ def total_loss(contrastive: Tensor, recon_image: Tensor, recon_text: Tensor,
              + weights.classification * classification)
     return LossBreakdown(contrastive=contrastive, recon_image=recon_image,
                          recon_text=recon_text, classification=classification,
-                         total=total, weights=weights)
+                         total=total)

@@ -217,8 +217,7 @@ class AlignFuseModel:
         """(B, L) token ids -> (B, L, d) with the first L position
         embeddings."""
         validate_ids(ids, self.config.vocab_size)
-        looked_up = self.params["txt.emb"].gather_rows(ids)
-        return looked_up + self.params["txt.pe"][:ids.shape[1]]
+        return self.params["txt.emb"][ids] + self.params["txt.pe"][:ids.shape[1]]
 
     # -- masking --------------------------------------------------------------
 

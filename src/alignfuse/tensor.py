@@ -83,9 +83,8 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, seq, p=None):
-        idx = self._gen.choice(len(seq), p=p)
-        return seq[int(idx)]
+    def choice(self, seq):
+        return seq[int(self._gen.choice(len(seq)))]
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -124,7 +123,7 @@ class Tensor:
         needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out.requires_grad = needs
         if needs:
-            out._prev = tuple(p for p in parents if p.requires_grad or p._prev)
+            out._prev = tuple(p for p in parents if p.requires_grad)
             out._backward = backward
         else:
             out._prev = ()
@@ -164,9 +163,9 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            if a.requires_grad or a._prev:
+            if a.requires_grad:
                 a._accum(_unbroadcast(g, a.data.shape))
-            if b.requires_grad or b._prev:
+            if b.requires_grad:
                 b._accum(_unbroadcast(g, b.data.shape))
 
         return Tensor._result(a.data + b.data, (a, b), backward)
@@ -192,9 +191,9 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            if a.requires_grad or a._prev:
+            if a.requires_grad:
                 a._accum(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad or b._prev:
+            if b.requires_grad:
                 b._accum(_unbroadcast(g * a.data, b.data.shape))
 
         return Tensor._result(a.data * b.data, (a, b), backward)
@@ -227,9 +226,9 @@ class Tensor:
                 f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
 
         def backward(g):
-            if a.requires_grad or a._prev:
+            if a.requires_grad:
                 a._accum(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-            if b.requires_grad or b._prev:
+            if b.requires_grad:
                 if b.data.ndim == 2 and a.data.ndim > 2:
                     # weight of a batched linear map: one GEMM over all rows
                     k, n = a.data.shape[-1], g.shape[-1]
@@ -284,18 +283,6 @@ class Tensor:
             a._accum(full)
 
         return Tensor._result(a.data[key], (a,), backward)
-
-    def gather_rows(self, idx) -> "Tensor":
-        """Row lookup along axis 0 (embedding-table gather)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        a = self
-
-        def backward(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, idx, g)
-            a._accum(full)
-
-        return Tensor._result(a.data[idx], (a,), backward)
 
     # -- reductions -----------------------------------------------------------
 
@@ -410,7 +397,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._prev:
+            if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t._accum(g[tuple(sl)])
@@ -437,18 +424,28 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(out_data, (a,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """log(softmax(x)) via log-sum-exp, stable for large logit margins."""
-    a = x
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
+def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
+    """Sum over rows i of ``weights[i] * -log softmax(logits[i])[targets[i]]``
+    as one node. `logits` is (..., n), `targets` an int array of its leading
+    shape and `weights` broadcasts to it. Only the probabilities are kept:
+    the backward is ``g * weights * (probs - onehot)``."""
+    a = logits
+    z = a.data.reshape(-1, a.data.shape[-1])
+    hit = np.arange(len(z)), np.asarray(targets, dtype=np.int64).reshape(-1)
+    w = np.broadcast_to(weights, a.data.shape[:-1]).reshape(-1)
+    probs = z - z.max(axis=-1, keepdims=True)  # log-sum-exp shift
+    picked = probs[hit]
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=-1)
+    probs /= total[:, None]
 
     def backward(g):
-        a._accum(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
+        grad = probs * (g * w)[:, None]
+        grad[hit] -= g * w
+        a._accum(grad.reshape(a.data.shape))
 
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(np.asarray(-(w * (picked - np.log(total))).sum()),
+                          (a,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -462,22 +459,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return xhat * gamma + beta
 
 
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity of two 1-D tensors; errors on zero-norm input."""
-    if u.data.ndim != 1 or v.data.ndim != 1 or u.data.shape != v.data.shape:
-        raise DimensionError("cosine_similarity expects two 1-D tensors of equal length")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateInputError("cosine similarity of a zero-norm vector")
-    dot = (u * v).sum()
-    return dot * ((u * u).sum().sqrt() * (v * v).sum().sqrt()) ** -1.0
-
-
-def unit_rows(x: Tensor, min_norm: float = 0.0) -> Tensor:
+def unit_rows(x: Tensor) -> Tensor:
     """L2-normalize each row of a 2-D tensor."""
     norms = np.linalg.norm(x.data, axis=-1)
-    if np.any(norms <= min_norm):
+    if np.any(norms == 0.0):
         raise DegenerateInputError("zero-norm row cannot be unit-normalized")
     sq = (x * x).sum(axis=-1, keepdims=True)
     return x * sq ** -0.5

@@ -22,7 +22,7 @@ from .data import (
     textualize_record,
     tokenize,
 )
-from .errors import ConfigError, DegenerateInputError, NumericError
+from .errors import ConfigError, DegenerateInputError, LabelError, NumericError
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -137,8 +137,13 @@ class Example:
 
 def prepare_examples(records: list[PatientRecord], vocab: Vocab,
                      cfg: ModelConfig) -> list[Example]:
+    """Patch grids and token sequences of `records`; a label outside the
+    model's classes raises LabelError."""
     out = []
     for rec in records:
+        if not 0 <= rec.label < cfg.n_classes:
+            raise LabelError(f"label {rec.label} outside the model's "
+                             f"{cfg.n_classes} classes")
         vol = normalize_volume(rec.volume, cfg.volume_side)
         out.append(Example(
             patches=patchify(vol, cfg.patch_size),
@@ -324,6 +329,4 @@ def load_model_checkpoint(path: Path, train_cfg: TrainConfig | None = None,
         optim = AdamW(model.params, train_cfg)
         if state:
             optim.load_state_arrays(state)
-        else:
-            optim.t = int(payload.get("step", 0))
     return model, vocab, optim

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alignfuse.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from alignfuse.data import read_volume, write_volume
 from alignfuse.train import modality_gap
 
 TINY_CFG = {
@@ -209,3 +211,64 @@ class TestExport:
                    str(run / "final.ckpt"), "--what", "volumes",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_USAGE
+
+
+def copy_dataset(ds: Path, dst: Path, edit_first=None) -> Path:
+    """A copy of dataset `ds` at `dst`. `edit_first` maps the first manifest
+    record (a dict) to the line written in its place."""
+    shutil.copytree(ds, dst)
+    if edit_first is not None:
+        manifest = dst / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        lines[0] = edit_first(json.loads(lines[0]))
+        manifest.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def run_on(command: str, ds: Path, trained, tmp_path) -> int:
+    """`train` with the tiny config, or `eval` of the tiny run's checkpoint."""
+    _, run, cfg = trained
+    if command == "train":
+        return main(["train", "--dataset", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")])
+    return main(["eval", "--dataset", str(ds), "--checkpoint",
+                 str(run / "final.ckpt")])
+
+
+MALFORMED_FIRST_LINE = {
+    "not_an_object": lambda rec: "[1, 2]",
+    "non_integer_label": lambda rec: json.dumps({**rec, "label": "abc"}),
+    "negative_label": lambda rec: json.dumps({**rec, "label": -1}),
+    "volume_outside_root": lambda rec: json.dumps(
+        {**rec, "volume": "../other/00001.vol"}),
+}
+
+
+class TestBadDataset:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FIRST_LINE))
+    def test_malformed_manifest_line(self, trained, tmp_path, capsys,
+                                     case, command):
+        ds = copy_dataset(trained[0], tmp_path / "ds", MALFORMED_FIRST_LINE[case])
+        # a readable volume outside the dataset root
+        shutil.copytree(ds / "volumes", tmp_path / "other")
+        assert run_on(command, ds, trained, tmp_path) == EXIT_DATA
+        assert "manifest line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_finite_voxel(self, trained, tmp_path, capsys, command):
+        ds = copy_dataset(trained[0], tmp_path / "ds")
+        path = ds / "volumes" / "00003.vol"
+        vol = read_volume(path)
+        vol[1, 2, 3] = np.nan
+        write_volume(path, vol)
+        assert run_on(command, ds, trained, tmp_path) == EXIT_DATA
+        assert "00003.vol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_label_outside_model_classes(self, trained, tmp_path, capsys,
+                                         command):
+        ds = copy_dataset(trained[0], tmp_path / "ds",
+                          lambda rec: json.dumps({**rec, "label": 7}))
+        assert run_on(command, ds, trained, tmp_path) == EXIT_USAGE
+        assert "label 7" in capsys.readouterr().err
