@@ -105,25 +105,19 @@ def load_run_config(config_path: str | None,
     return model_cfg, train_cfg
 
 
-def write_run_manifest(out_dir: Path, command: str, dataset: str | None,
-                       model_cfg: ModelConfig, train_cfg: TrainConfig,
-                       extra: dict | None = None) -> Path:
+def write_run_manifest(out_dir: Path, dataset: str, model_cfg: ModelConfig,
+                       train_cfg: TrainConfig) -> Path:
+    ds = Path(dataset)
+    mpath = ds / "manifest.jsonl" if ds.is_dir() else ds
     manifest = {
-        "command": command,
-        "dataset": str(Path(dataset).resolve()) if dataset else None,
+        "command": "train",
+        "dataset": str(ds.resolve()),
         "out_dir": str(out_dir.resolve()),
         "seed": train_cfg.seed,
         "model_config": model_cfg.to_dict(),
         "train_config": train_cfg.to_dict(),
-        "checksums": {},
+        "checksums": {"dataset_manifest": sha256_file(mpath)},
     }
-    if dataset:
-        ds = Path(dataset)
-        mpath = ds / "manifest.jsonl" if ds.is_dir() else ds
-        if mpath.is_file():
-            manifest["checksums"]["dataset_manifest"] = sha256_file(mpath)
-    if extra:
-        manifest.update(extra)
     path = out_dir / "run_manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
@@ -164,12 +158,9 @@ def cmd_train(args) -> int:
     model = AlignFuseModel(model_cfg, seed=train_cfg.seed)
     optim = AdamW(model.params, train_cfg)
 
-    write_run_manifest(out_dir, "train", args.dataset, model_cfg, train_cfg)
+    write_run_manifest(out_dir, args.dataset, model_cfg, train_cfg)
 
-    metrics_path = out_dir / "metrics.jsonl"
-    timings_path = out_dir / "timings.jsonl"
     best = {"accuracy": -1.0}
-    last_wall = time.monotonic()
 
     def eval_and_track():
         report = evaluate(model, examples)
@@ -178,25 +169,26 @@ def cmd_train(args) -> int:
             save_model_checkpoint(out_dir / "best.ckpt", model, vocab, optim)
         return report
 
-    with open(metrics_path, "w") as mfh, open(timings_path, "w") as tfh:
-        def on_step(entry):
-            nonlocal last_wall
+    final_loss = None
+    last_wall = time.monotonic()
+    with open(out_dir / "metrics.jsonl", "w") as mfh, \
+            open(out_dir / "timings.jsonl", "w") as tfh:
+        while optim.t < train_cfg.steps:
+            entry = train_steps(model, optim, examples, train_cfg, n_steps=1)[0]
             mfh.write(json.dumps(entry, sort_keys=True) + "\n")
+            # since the previous entry: an evaluation stall lands in the next step
             now = time.monotonic()
-            tfh.write(json.dumps(
-                {"step": entry["step"],
-                 "wall_ms": (now - last_wall) * 1000.0}) + "\n")
-            last_wall = now
-            if (entry["step"] + 1) % train_cfg.eval_every == 0:
+            tfh.write(json.dumps({"step": entry["step"],
+                                  "wall_ms": (now - last_wall) * 1000.0}) + "\n")
+            last_wall, final_loss = now, entry["l_total"]
+            if optim.t % train_cfg.eval_every == 0:
                 eval_and_track()
-
-        log = train_steps(model, optim, examples, train_cfg, on_step=on_step)
 
     report = eval_and_track()
     save_model_checkpoint(out_dir / "final.ckpt", model, vocab, optim)
     summary = {
         "steps": optim.t,
-        "final_total_loss": log[-1]["l_total"] if log else None,
+        "final_total_loss": final_loss,
         "train_accuracy": report.accuracy,
         "best_train_accuracy": best["accuracy"],
     }

@@ -27,7 +27,6 @@ UNK_ID = 3
 RESERVED = ["[PAD]", "[CLS]", "[MASK]", "[UNK]"]
 
 NARRATIVE_MAX_WORDS = 40
-DEFAULT_L_MAX = 70
 
 VOLUME_MAGIC = b"ALIV"
 VOLUME_VERSION = 1
@@ -179,9 +178,9 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def truncate_narrative(text: str, max_words: int = NARRATIVE_MAX_WORDS) -> str:
+def truncate_narrative(text: str) -> str:
     words = text.split()
-    return " ".join(words[:max_words]) if len(words) > max_words else text
+    return " ".join(words[:NARRATIVE_MAX_WORDS]) if len(words) > NARRATIVE_MAX_WORDS else text
 
 
 def textualize_record(rec: PatientRecord) -> str:
@@ -198,8 +197,7 @@ def word_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def build_vocab(corpus: list[str], min_freq: int = 1,
-                max_size: int | None = None) -> Vocab:
+def build_vocab(corpus: list[str], max_size: int | None = None) -> Vocab:
     """Frequency-ordered vocabulary (ties broken lexically). `max_size`
     caps the total token count, reserved entries included, so the result
     always fits a fixed-size embedding table."""
@@ -209,8 +207,7 @@ def build_vocab(corpus: list[str], min_freq: int = 1,
     for text in corpus:
         for tok in word_tokens(text):
             counts[tok] = counts.get(tok, 0) + 1
-    kept = sorted((t for t, c in counts.items() if c >= min_freq),
-                  key=lambda t: (-counts[t], t))
+    kept = sorted(counts, key=lambda t: (-counts[t], t))
     if max_size is not None:
         if max_size < len(RESERVED):
             raise VocabError(f"max_size {max_size} below reserved token count")
@@ -218,7 +215,7 @@ def build_vocab(corpus: list[str], min_freq: int = 1,
     return Vocab(tokens=RESERVED + kept)
 
 
-def tokenize(text: str, vocab: Vocab, l_max: int = DEFAULT_L_MAX) -> TokenSequence:
+def tokenize(text: str, vocab: Vocab, l_max: int) -> TokenSequence:
     """[CLS] + word ids, truncated to l_max, zero-padded."""
     ids = [CLS_ID] + [vocab.id_of(t) for t in word_tokens(text)]
     ids = ids[:l_max]
@@ -330,20 +327,6 @@ def generate_synthetic_dataset(n: int, n_classes: int = 3, side: int = 32,
     return records
 
 
-def blob_position_classifier(volume: np.ndarray, side: int, n_classes: int) -> int:
-    """Trivial reference classifier: nearest class blob center to the peak
-    of the smoothed volume. Used to certify that image signal is learnable."""
-    vol = normalize_volume(volume, side)
-    from scipy.ndimage import gaussian_filter
-
-    peak = np.unravel_index(np.argmax(gaussian_filter(vol, sigma=2.0)), vol.shape)
-    frac = np.array(peak) / side
-    labels = range(n_classes)
-    dists = [np.linalg.norm(frac - np.array(_BLOB_PROFILES[_class_profile_index(c, n_classes)]["center"]))
-             for c in labels]
-    return int(np.argmin(dists))
-
-
 # ---------------------------------------------------------------------------
 # disk format
 
@@ -369,10 +352,11 @@ def read_volume(path: Path) -> np.ndarray:
             raise DataFormatError(f"{path}: unsupported volume version {version}")
         dims = struct.unpack("<III", header[8:20])
         count = dims[0] * dims[1] * dims[2]
-        payload = fh.read(count * 8)
-        if len(payload) != count * 8:
-            raise DataFormatError(f"{path}: truncated volume payload")
-        volume = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        left = Path(path).stat().st_size - len(header)
+        if count * 8 > left:
+            raise DataFormatError(f"{path}: truncated volume payload: header claims "
+                                  f"{dims} voxels but only {left} bytes follow")
+        volume = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(dims).copy()
     if not np.isfinite(volume).all():
         raise DataFormatError(f"{path}: non-finite voxel values")
     return volume

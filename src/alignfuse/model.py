@@ -20,6 +20,7 @@ import numpy as np
 from .data import Batch, PatchGrid, TokenSequence, validate_ids
 from .errors import ConfigError, ContractError, DimensionError
 from .tensor import (
+    LN_EPS,
     NEG_MASK_BIAS,
     RngStream,
     Tensor,
@@ -27,6 +28,8 @@ from .tensor import (
     layer_norm,
     softmax,
 )
+
+FFN_MULT = 4  # FFN hidden width is FFN_MULT * d_model
 
 
 @dataclass
@@ -41,19 +44,16 @@ class ModelConfig:
     l_max: int = 70
     n_classes: int = 3
     mask_ratio: float = 0.5
-    ffn_mult: int = 4
-    fusion_hidden: int | None = None
-    layer_norm_eps: float = 1e-5
 
     def __post_init__(self):
+        if self.n_heads < 1 or self.patch_size < 1:
+            raise ConfigError("n_heads and patch_size must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ConfigError("mask_ratio must lie in [0, 1)")
         if self.volume_side % self.patch_size != 0:
             raise ConfigError("patch_size must divide volume_side")
-        if self.fusion_hidden is None:
-            self.fusion_hidden = self.d_model
 
     @property
     def grid_side(self) -> int:
@@ -72,8 +72,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        # checkpoints written before the field was removed still carry it
-        return cls(**{k: v for k, v in d.items() if k != "recon_masked_only"})
+        """Takes a retired field of older files only at the value now fixed."""
+        fixed = {"ffn_mult": FFN_MULT, "layer_norm_eps": LN_EPS, "recon_masked_only": True,
+                 "fusion_hidden": d.get("d_model", cls.d_model)}
+        for key in sorted(fixed.keys() & d.keys()):
+            if d[key] != fixed[key]:
+                raise ConfigError(f"retired field {key}={d[key]!r} must be {fixed[key]!r}")
+        return cls(**{k: v for k, v in d.items() if k not in fixed})
 
 
 @dataclass
@@ -119,7 +124,7 @@ class AlignFuseModel:
         self._add(f"{name}.b", np.zeros(d))
 
     def _add_block(self, name: str, rng: RngStream) -> None:
-        d, f = self.config.d_model, self.config.ffn_mult * self.config.d_model
+        d, f = self.config.d_model, FFN_MULT * self.config.d_model
         self._add_ln(f"{name}.ln1", d)
         for proj in ("wq", "wk", "wv", "wo"):
             self._add_linear(f"{name}.sa.{proj}", d, d, rng)
@@ -151,8 +156,8 @@ class AlignFuseModel:
                 self._add_block(f"{m}.dec.{i}", rng.child(base * 100 + 70 + i))
         self._add_linear("img.dec.head", d, cfg.patch_voxels, rng.child(31))
         self._add_linear("txt.dec.head", d, cfg.vocab_size, rng.child(32))
-        self._add_linear("fusion.l1", 2 * d, cfg.fusion_hidden, rng.child(33))
-        self._add_linear("fusion.l2", cfg.fusion_hidden, cfg.n_classes, rng.child(34))
+        self._add_linear("fusion.l1", 2 * d, d, rng.child(33))
+        self._add_linear("fusion.l2", d, cfg.n_classes, rng.child(34))
         self._add("log_tau", np.array(math.log(0.07)))
 
     # -- primitives -----------------------------------------------------------
@@ -161,8 +166,7 @@ class AlignFuseModel:
         return x @ self.params[f"{name}.w"] + self.params[f"{name}.b"]
 
     def _ln(self, name: str, x: Tensor) -> Tensor:
-        return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"],
-                          eps=self.config.layer_norm_eps)
+        return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
     def _attention(self, name: str, x_q: Tensor, x_kv: Tensor,
                    key_bias: np.ndarray | None,
@@ -222,10 +226,9 @@ class AlignFuseModel:
     # -- masking --------------------------------------------------------------
 
     def apply_mask(self, h: Tensor, modality: str, rngs: list[RngStream],
-                   maskable: np.ndarray | None = None,
-                   ratio: float | None = None) -> tuple[Tensor, np.ndarray]:
-        """In each row b of (B, N, d) `h`, replace floor(ratio * n_b) of its
-        n_b maskable positions, drawn with rngs[b], by the modality's mask
+                   maskable: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+        """In each row b of (B, N, d) `h`, replace floor(mask_ratio * n_b) of
+        its n_b maskable positions, drawn with rngs[b], by the modality's mask
         embedding (position embedding retained). `maskable` is a (B, N)
         bool matrix, by default every position but 0; position 0 ([CLS]) is
         never maskable. Returns the masked tensor and the (B, N) bool matrix
@@ -236,11 +239,10 @@ class AlignFuseModel:
             maskable[:, 0] = False
         if maskable[:, 0].any():
             raise ContractError("[CLS] position is not maskable")
-        ratio = self.config.mask_ratio if ratio is None else ratio
         chosen = np.zeros((b, n), dtype=bool)
         for row, rng in enumerate(rngs):
             candidates = np.flatnonzero(maskable[row])
-            n_mask = int(math.floor(ratio * len(candidates)))
+            n_mask = int(math.floor(self.config.mask_ratio * len(candidates)))
             if n_mask:
                 chosen[row, candidates[rng.permutation(len(candidates))[:n_mask]]] = True
         if not chosen.any():
@@ -296,10 +298,10 @@ class AlignFuseModel:
     def temperature(self) -> Tensor:
         return self.params["log_tau"].reshape(1).exp()
 
-    def clamp_temperature(self, lo: float = 0.01, hi: float = 1.0) -> None:
-        """Project log-temperature back into [log lo, log hi] after a step."""
+    def clamp_temperature(self) -> None:
+        """Project the temperature back into [0.01, 1] after a step."""
         self.params["log_tau"].data = np.clip(
-            self.params["log_tau"].data, math.log(lo), math.log(hi))
+            self.params["log_tau"].data, math.log(0.01), math.log(1.0))
 
     # -- full passes -----------------------------------------------------------
 

@@ -26,6 +26,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Additive logit bias for disallowed attention keys. Finite (so the
 # NaN/Inf guard stays active) but large enough that exp underflows to 0.
 NEG_MASK_BIAS = -1e30
+LN_EPS = 1e-5  # added to the layer-norm variance
 
 
 @contextmanager
@@ -448,14 +449,14 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
                           (a,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if gamma.data.shape[-1] != x.data.shape[-1] or beta.data.shape[-1] != x.data.shape[-1]:
         raise DimensionError("gamma/beta must match the last axis of x")
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    xhat = centered * (var + eps) ** -0.5
+    xhat = centered * (var + LN_EPS) ** -0.5
     return xhat * gamma + beta
 
 
@@ -469,7 +470,6 @@ def unit_rows(x: Tensor) -> Tensor:
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
-                      step: float = 1e-5,
                       max_elements: int | None = None,
                       rng: RngStream | None = None) -> float:
     """Compare analytic grad of f at x against central finite differences.
@@ -479,6 +479,7 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
     With `max_elements`, a deterministic random subset of coordinates is
     checked (large parameter tensors).
     """
+    step = 1e-5
     x.grad = None
     loss = f(x)
     if loss.data.size != 1:

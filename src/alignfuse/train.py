@@ -22,7 +22,7 @@ from .data import (
     textualize_record,
     tokenize,
 )
-from .errors import ConfigError, DegenerateInputError, LabelError, NumericError
+from .errors import CheckpointError, ConfigError, DegenerateInputError, LabelError, NumericError
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -36,15 +36,13 @@ from .model import AlignFuseModel, ModelConfig
 from .tensor import RngStream, Tensor, no_grad, softmax
 
 PREDICT_CHUNK = 4  # records per inference batch; larger ones raise peak memory
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and epsilon
 
 
 @dataclass
 class TrainConfig:
     batch_size: int = 8
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     steps: int = 200
     seed: int = 0
@@ -53,8 +51,9 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name, least in (("batch_size", 1), ("eval_every", 1), ("steps", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
 
@@ -93,15 +92,15 @@ class AdamW:
                     if p.grad is not None:
                         p.grad *= scale
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
+            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * g * g
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.data = p.data - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps) \
+            p.data = p.data - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS) \
                 - cfg.lr * cfg.weight_decay * p.data
             if not np.isfinite(p.data).all():
                 raise NumericError(f"parameter {name} became non-finite")
@@ -192,8 +191,7 @@ def _batch_indices(n: int, batch_size: int, step: int, seed: int) -> np.ndarray:
 
 
 def train_steps(model: AlignFuseModel, optim: AdamW, examples: list[Example],
-                cfg: TrainConfig, n_steps: int | None = None,
-                on_step=None) -> list[dict]:
+                cfg: TrainConfig, n_steps: int | None = None) -> list[dict]:
     """Run `n_steps` optimization steps (default: up to cfg.steps, resuming
     from the optimizer's step counter). Returns per-step loss records."""
     start = optim.t
@@ -208,10 +206,7 @@ def train_steps(model: AlignFuseModel, optim: AdamW, examples: list[Example],
         breakdown.total.backward()
         optim.step()
         model.clamp_temperature()
-        entry = {"step": step, **breakdown.scalars(), "lr": cfg.lr}
-        log.append(entry)
-        if on_step is not None:
-            on_step(entry)
+        log.append({"step": step, **breakdown.scalars(), "lr": cfg.lr})
     return log
 
 
@@ -316,14 +311,37 @@ def save_model_checkpoint(path: Path, model: AlignFuseModel, vocab: Vocab,
     ckpt.save_checkpoint(path, payload, params, state)
 
 
+def _check_blobs(path: Path, section: str, blobs: dict[str, np.ndarray],
+                 shapes: dict[str, tuple]) -> None:
+    """CheckpointError naming the first blob of `section` that is missing,
+    unexpected or of another shape than `shapes` gives."""
+    found = {name: blob.shape for name, blob in blobs.items()}
+    for name in sorted(found.keys() | shapes.keys()):
+        if found.get(name) != shapes.get(name):
+            raise CheckpointError(f"{path}: {section} blob {name!r} has shape "
+                                  f"{found.get(name, '(absent)')} in the checkpoint and "
+                                  f"{shapes.get(name, '(absent)')} in the model")
+
+
 def load_model_checkpoint(path: Path, train_cfg: TrainConfig | None = None,
                           ) -> tuple[AlignFuseModel, Vocab, AdamW | None]:
+    """Model, vocabulary and (with `train_cfg`) optimizer of a checkpoint;
+    a header, parameter or optimizer blob that does not fit the model raises
+    CheckpointError."""
     payload, params, state = ckpt.load_checkpoint(path)
-    config = ModelConfig.from_dict(payload["model_config"])
+    try:
+        config = ModelConfig.from_dict(payload["model_config"])
+        vocab = Vocab(tokens=list(payload["vocab"]))
+    except (KeyError, ConfigError, TypeError) as e:
+        raise CheckpointError(f"{path}: bad header: {e!r}") from e
     model = AlignFuseModel(config, seed=0)
+    shapes = {name: p.data.shape for name, p in model.params.items()}
+    _check_blobs(path, "parameter", params, shapes)
+    if state:  # a checkpoint saved without an optimizer has no state
+        _check_blobs(path, "optimizer", state, {"t": (), **{
+            f"{name}.{k}": shape for name, shape in shapes.items() for k in "mv"}})
     for name, p in model.params.items():
         p.data = params[name].copy()
-    vocab = Vocab(tokens=list(payload["vocab"]))
     optim = None
     if train_cfg is not None:
         optim = AdamW(model.params, train_cfg)

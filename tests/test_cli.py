@@ -1,11 +1,13 @@
 import hashlib
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from alignfuse import checkpoint as ckpt
 from alignfuse.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from alignfuse.data import read_volume, write_volume
 from alignfuse.train import modality_gap
@@ -132,6 +134,22 @@ class TestTrain:
                    "--out", str(tmp_path / "r")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("model", "n_heads", 0), ("train", "eval_every", 0),
+        ("train", "steps", -1), ("train", "beta1", 0.9),
+        ("model", "fusion_hidden", 16)])
+    def test_impossible_config(self, trained, tmp_path, capsys, section,
+                               field, value):
+        ds, _, _ = trained
+        cfg = {**TINY_CFG, section: {**TINY_CFG[section], field: value}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        rc = main(["train", "--dataset", str(ds), "--config", str(bad),
+                   "--out", str(tmp_path / "r")])
+        assert rc == EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_malformed_dataset_manifest(self, trained, tmp_path, capsys):
         _, _, cfg = trained
         ds = tmp_path / "ds"
@@ -170,6 +188,39 @@ class TestEval:
         junk.write_bytes(b"garbage bytes here")
         rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(junk)])
         assert rc == EXIT_DATA
+
+
+def edit_checkpoint(src: Path, dst: Path, edit) -> Path:
+    """A copy of checkpoint `src` at `dst`, with `edit` applied to its
+    (header, params, optimizer state) triple."""
+    parts = ckpt.load_checkpoint(src)
+    edit(*parts)
+    ckpt.save_checkpoint(dst, *parts)
+    return dst
+
+
+BAD_CHECKPOINT = {
+    "missing_param": (lambda h, p, s: p.pop("log_tau"), "log_tau"),
+    "extra_param": (lambda h, p, s: p.update({"extra.w": np.zeros(3)}), "extra.w"),
+    "param_shape": (lambda h, p, s: p.update({"fusion.l2.b": np.zeros(1)}),
+                    "fusion.l2.b"),
+    "optimizer_state": (lambda h, p, s: s.update({"img.lp.w.m": np.zeros(2)}),
+                        "img.lp.w.m"),
+    "unknown_header_field": (
+        lambda h, p, s: h["model_config"].update({"n_experts": 2}), "n_experts"),
+}
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINT))
+    def test_eval_exits_2_naming_the_blob(self, trained, tmp_path, capsys, case):
+        ds, run, _ = trained
+        edit, name = BAD_CHECKPOINT[case]
+        bad = edit_checkpoint(run / "final.ckpt", tmp_path / "bad.ckpt", edit)
+        rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(bad)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
 
 
 class TestExport:
@@ -264,6 +315,17 @@ class TestBadDataset:
         write_volume(path, vol)
         assert run_on(command, ds, trained, tmp_path) == EXIT_DATA
         assert "00003.vol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_volume_header_larger_than_file(self, trained, tmp_path, capsys,
+                                            command):
+        ds = copy_dataset(trained[0], tmp_path / "ds")
+        path = ds / "volumes" / "00002.vol"
+        # a 100-byte file whose header claims 100000^3 voxels
+        raw = path.read_bytes()[:8] + struct.pack("<III", 100000, 100000, 100000)
+        path.write_bytes(raw + bytes(100 - len(raw)))
+        assert run_on(command, ds, trained, tmp_path) == EXIT_DATA
+        assert "00002.vol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_label_outside_model_classes(self, trained, tmp_path, capsys,

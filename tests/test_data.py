@@ -1,9 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 
 from alignfuse import data
 from alignfuse.data import (
@@ -12,7 +14,6 @@ from alignfuse.data import (
     UNK_ID,
     PatientRecord,
     Vocab,
-    blob_position_classifier,
     build_vocab,
     generate_synthetic_dataset,
     load_dataset,
@@ -27,6 +28,17 @@ from alignfuse.data import (
     write_volume,
 )
 from alignfuse.errors import DataFormatError, DimensionError
+
+
+def blob_position_classifier(volume: np.ndarray, side: int, n_classes: int) -> int:
+    """Trivial reference classifier: nearest class blob center to the peak
+    of the smoothed volume. Used to certify that image signal is learnable."""
+    vol = normalize_volume(volume, side)
+    peak = np.unravel_index(np.argmax(gaussian_filter(vol, sigma=2.0)), vol.shape)
+    frac = np.array(peak) / side
+    centers = [data._BLOB_PROFILES[data._class_profile_index(c, n_classes)]["center"]
+               for c in range(n_classes)]
+    return int(np.argmin([np.linalg.norm(frac - np.array(c)) for c in centers]))
 
 
 class TestNormalizeVolume:
@@ -121,14 +133,10 @@ class TestTruncateNarrative:
 
 class TestVocab:
     def test_small_corpus(self):
-        v = build_vocab(["a a b"], min_freq=1)
+        v = build_vocab(["a a b"])
         assert len(v) == 6  # 4 reserved + a + b
         assert v.tokens[:4] == ["[PAD]", "[CLS]", "[MASK]", "[UNK]"]
         assert v.tokens[4:] == ["a", "b"]  # freq desc, then lexicographic
-
-    def test_min_freq_threshold(self):
-        v = build_vocab(["a a b"], min_freq=3)
-        assert len(v) == 4
 
     def test_template_keywords_covered(self):
         recs = generate_synthetic_dataset(100, 3, side=8, seed=5)
@@ -243,6 +251,15 @@ class TestDiskFormat:
         write_volume(path, vol)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataFormatError, match="truncated"):
+            read_volume(path)
+
+    def test_header_claims_more_voxels_than_the_file_holds(self, tmp_path):
+        path = tmp_path / "x.vol"
+        write_volume(path, np.zeros((2, 2, 2)))
+        raw = bytearray(path.read_bytes())
+        raw[8:20] = struct.pack("<III", 100000, 100000, 100000)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="100000"):
             read_volume(path)
 
     def test_dataset_roundtrip(self, tmp_path):

@@ -58,6 +58,24 @@ class TestModelConfig:
         old = {**cfg.to_dict(), "recon_masked_only": True}
         assert ModelConfig.from_dict(old) == cfg
 
+    def test_loads_config_with_retired_fields_at_fixed_values(self):
+        cfg = tiny_config()
+        old = {**cfg.to_dict(), "ffn_mult": 4, "fusion_hidden": cfg.d_model,
+               "layer_norm_eps": 1e-5, "recon_masked_only": True}
+        assert ModelConfig.from_dict(old) == cfg
+
+    @pytest.mark.parametrize("key,value", [
+        ("ffn_mult", 2), ("fusion_hidden", 16), ("layer_norm_eps", 1e-6),
+        ("recon_masked_only", False)])
+    def test_retired_field_at_another_value_is_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig.from_dict({**tiny_config().to_dict(), key: value})
+
+    @pytest.mark.parametrize("field", ["n_heads", "patch_size"])
+    def test_zero_divisor(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: 0})
+
 
 class TestEmbedImage:
     def test_row_count(self):
@@ -141,16 +159,19 @@ class TestApplyMask:
         self.model = AlignFuseModel(self.cfg, seed=0)
         self.h = self.model.embed_image(tiny_inputs(self.cfg)[0].patches[None])
 
-    def mask(self, seed, **kw):
-        h2, chosen = self.model.apply_mask(self.h, "img", [RngStream(seed)], **kw)
+    def mask(self, seed, mask_ratio=0.5):
+        # same seed, so the same parameters as self.model
+        model = AlignFuseModel(tiny_config(patch_size=2, volume_side=6,
+                                           mask_ratio=mask_ratio), seed=0)
+        h2, chosen = model.apply_mask(self.h, "img", [RngStream(seed)])
         return h2, np.flatnonzero(chosen[0])
 
     def test_ratio_zero_is_identity(self):
-        h2, idx = self.mask(0, ratio=0.0)
+        h2, idx = self.mask(0, mask_ratio=0.0)
         assert h2 is self.h and idx.size == 0
 
     def test_exact_mask_count(self):
-        h2, idx = self.mask(1, ratio=0.5)
+        h2, idx = self.mask(1, mask_ratio=0.5)
         assert idx.size == 13  # floor(0.5 * 27)
 
     def test_seed_determinism(self):
@@ -160,7 +181,7 @@ class TestApplyMask:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_cls_never_masked(self, seed):
-        _, idx = self.mask(seed, ratio=0.9)
+        _, idx = self.mask(seed, mask_ratio=0.9)
         assert 0 not in idx
 
     def test_masked_rows_are_mask_embedding_plus_pe(self):
@@ -347,7 +368,7 @@ class TestFuseClassify:
         assert not np.allclose(a, b)
 
     def test_hand_computed_mlp(self):
-        cfg = tiny_config(d_model=2, n_heads=1, fusion_hidden=2, n_classes=2)
+        cfg = tiny_config(d_model=2, n_heads=1, n_classes=2)
         model = AlignFuseModel(cfg, seed=0)
         model.params["fusion.l1.w"].data = np.array(
             [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0], [0.5, 0.5]])

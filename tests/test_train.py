@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from alignfuse import checkpoint as ckpt
 from alignfuse.data import Vocab, build_vocab, generate_synthetic_dataset
 from alignfuse.errors import (
+    CheckpointError,
     DegenerateInputError,
     MagicMismatchError,
     TruncatedFileError,
@@ -88,11 +90,11 @@ class TestAdamW:
         for t, g in enumerate([0.3, -0.7], start=1):
             p.grad = np.array([g])
             opt.step()
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1 ** t)
-            v_hat = v / (1 - cfg.beta2 ** t)
-            ref_p -= cfg.lr * m_hat / (math.sqrt(v_hat) + cfg.eps)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            m_hat = m / (1 - 0.9 ** t)
+            v_hat = v / (1 - 0.999 ** t)
+            ref_p -= cfg.lr * m_hat / (math.sqrt(v_hat) + 1e-8)
         assert abs(p.data[0] - ref_p) < 1e-15
 
     def test_nonfinite_grad_aborts(self):
@@ -329,6 +331,37 @@ class TestCheckpointing:
         save_model_checkpoint(path, model, vocab)
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(TruncatedFileError):
+            load_model_checkpoint(path)
+
+    def test_loads_header_with_retired_fields(self, tmp_path):
+        # the model_config header of checkpoints written before the retired
+        # fields became constants
+        model, vocab, _ = tiny_setup(n=4)
+        path = tmp_path / "old.ckpt"
+        save_model_checkpoint(path, model, vocab)
+        payload, params, state = ckpt.load_checkpoint(path)
+        payload["model_config"].update(ffn_mult=4, fusion_hidden=8,
+                                       layer_norm_eps=1e-5)
+        ckpt.save_checkpoint(path, payload, params, state)
+        model2, _, _ = load_model_checkpoint(path)
+        assert model2.config == model.config
+        assert params_digest(model2) == params_digest(model)
+
+    # the CLI tests cover parameter blobs and the header; these are the
+    # optimizer-state cases they leave out
+    @pytest.mark.parametrize("edit,blob", [
+        (lambda s: s.pop("fusion.l1.w.v"), "fusion.l1.w.v"),
+        (lambda s: s.update({"t": np.zeros(2)}), "'t'"),
+    ], ids=["missing_moment", "step_counter_shape"])
+    def test_optimizer_state_that_does_not_fit_the_model(self, tmp_path, edit, blob):
+        model, vocab, _ = tiny_setup(n=4)
+        path = tmp_path / "m.ckpt"
+        save_model_checkpoint(path, model, vocab,
+                              AdamW(model.params, TrainConfig()))
+        payload, params, state = ckpt.load_checkpoint(path)
+        edit(state)
+        ckpt.save_checkpoint(path, payload, params, state)
+        with pytest.raises(CheckpointError, match=blob):
             load_model_checkpoint(path)
 
     def test_resume_matches_uninterrupted(self, tmp_path):
