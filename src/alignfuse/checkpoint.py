@@ -4,6 +4,8 @@ blobs, and optimizer state. Byte-identical for identical state."""
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -28,12 +30,13 @@ class _Reader:
     def __init__(self, fh, path):
         self.fh = fh
         self.path = path
+        self.size = os.fstat(fh.fileno()).st_size
 
     def read(self, n: int) -> bytes:
-        out = self.fh.read(n)
-        if len(out) != n:
+        # checked before reading: a corrupt length must not size a buffer
+        if n > self.size - self.fh.tell():
             raise TruncatedFileError(f"{self.path}: unexpected end of file")
-        return out
+        return self.fh.read(n)
 
     def read_u32(self) -> int:
         return struct.unpack("<I", self.read(4))[0]
@@ -42,8 +45,7 @@ class _Reader:
         name = self.read(self.read_u32()).decode("utf-8")
         ndim = self.read_u32()
         shape = struct.unpack(f"<{ndim}I", self.read(4 * ndim)) if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(self.read(count * 8), dtype="<f8").reshape(shape)
+        data = np.frombuffer(self.read(math.prod(shape) * 8), dtype="<f8").reshape(shape)
         return name, data.copy()
 
 

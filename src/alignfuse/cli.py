@@ -34,8 +34,10 @@ from .errors import (
 from .model import AlignFuseModel, ModelConfig
 from .tensor import no_grad
 from .train import (
+    PREDICT_CHUNK,
     AdamW,
     TrainConfig,
+    collate,
     dataset_corpus,
     evaluate,
     load_model_checkpoint,
@@ -95,6 +97,9 @@ def load_run_config(config_path: str | None,
         unknown = set(raw) - {"model", "train"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        for name, section in raw.items():
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {name!r} must be a JSON object")
     try:
         model_cfg = ModelConfig.from_dict(raw.get("model", {}))
         train_cfg = TrainConfig.from_dict(raw.get("train", {}))
@@ -142,11 +147,6 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_examples(dataset: str, model: AlignFuseModel, vocab):
-    records = load_dataset(Path(dataset))
-    return prepare_examples(records, vocab, model.config)
-
-
 def cmd_train(args) -> int:
     model_cfg, train_cfg = load_run_config(args.config, args.seed)
     records = load_dataset(Path(args.dataset))
@@ -169,7 +169,7 @@ def cmd_train(args) -> int:
             save_model_checkpoint(out_dir / "best.ckpt", model, vocab, optim)
         return report
 
-    final_loss = None
+    final_loss = report = None
     last_wall = time.monotonic()
     with open(out_dir / "metrics.jsonl", "w") as mfh, \
             open(out_dir / "timings.jsonl", "w") as tfh:
@@ -181,10 +181,10 @@ def cmd_train(args) -> int:
             tfh.write(json.dumps({"step": entry["step"],
                                   "wall_ms": (now - last_wall) * 1000.0}) + "\n")
             last_wall, final_loss = now, entry["l_total"]
-            if optim.t % train_cfg.eval_every == 0:
-                eval_and_track()
+            report = eval_and_track() if optim.t % train_cfg.eval_every == 0 else None
 
-    report = eval_and_track()
+    if report is None:  # no step was taken, or the last one was not evaluated
+        report = eval_and_track()
     save_model_checkpoint(out_dir / "final.ckpt", model, vocab, optim)
     summary = {
         "steps": optim.t,
@@ -200,7 +200,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, vocab, _ = load_model_checkpoint(Path(args.checkpoint))
-    examples = _load_examples(args.dataset, model, vocab)
+    examples = prepare_examples(load_dataset(Path(args.dataset)), vocab, model.config)
     report = evaluate(model, examples)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(text)
@@ -217,7 +217,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export(args) -> int:
     model, vocab, _ = load_model_checkpoint(Path(args.checkpoint))
-    examples = _load_examples(args.dataset, model, vocab)
+    examples = prepare_examples(load_dataset(Path(args.dataset)), vocab, model.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -239,17 +239,18 @@ def cmd_export(args) -> int:
         print(f"modality_gap {gap:.6f} over {len(examples)} records")
     else:
         path = out_dir / "attention.jsonl"
-        g = model.config.grid_side
         with open(path, "w") as fh, no_grad():
-            for i, ex in enumerate(examples):
-                heat, txt_w = model.extract_attention_map(ex.patches, ex.tokens)
-                fh.write(json.dumps({
-                    "index": i,
-                    "label": ex.label,
-                    "grid_side": g,
-                    "image_heat": heat.reshape(g, g, g).tolist(),
-                    "text_weights": txt_w.tolist(),
-                }) + "\n")
+            for start in range(0, len(examples), PREDICT_CHUNK):
+                chunk = examples[start:start + PREDICT_CHUNK]
+                heat, txt_w = model.attention_maps(collate(chunk))
+                for i, ex in enumerate(chunk):
+                    fh.write(json.dumps({
+                        "index": start + i,
+                        "label": ex.label,
+                        "grid_side": model.config.grid_side,
+                        "image_heat": heat[i].tolist(),
+                        "text_weights": txt_w[i].tolist(),
+                    }) + "\n")
         print(f"wrote attention maps for {len(examples)} records")
     return EXIT_OK
 

@@ -313,6 +313,8 @@ def generate_synthetic_dataset(n: int, n_classes: int = 3, side: int = 32,
         raise DataFormatError("dataset size must be positive")
     if n_classes not in (2, 3):
         raise DataFormatError("n_classes must be 2 or 3")
+    if side < 5:  # raw sides are jittered by up to 4 voxels
+        raise DataFormatError("volume side must be >= 5")
     root = RngStream(seed)
     records = []
     for i in range(n):

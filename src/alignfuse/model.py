@@ -351,28 +351,30 @@ class AlignFuseModel:
                                      pad_mask=batch.pad_mask)
         return self.fuse_classify(z_img[:, 0], z_txt[:, 0]), z_img[:, 0], z_txt[:, 0]
 
-    def extract_attention_map(self, patches: PatchGrid,
-                              tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
+    def attention_maps(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
         """[CLS]-query self-attention of the last unimodal encoder block,
-        averaged over heads; [CLS] (and pad) keys removed, renormalized.
+        averaged over heads, one row per record; [CLS] (and pad) keys
+        removed, renormalized.
 
-        Returns (image heat on the (S/p)^3 grid, text weights of length L_max
-        with zeros at [CLS] and pads)."""
+        Returns ((B, g, g, g) image heat on the (S/p)^3 grid, (B, L_max) text
+        weights with zeros at [CLS] and pads). A record with no token but
+        [CLS] puts all its text weight on [CLS]."""
         g = self.config.grid_side
         rec_img: list = []
         rec_txt: list = []
-        self.encode_unimodal(self.embed_image(patches.patches[None]), "img",
-                             record_attn=rec_img)
-        # text trimmed to its own length has no pads
-        self.encode_unimodal(self.embed_text(tokens.ids[None, :tokens.length]), "txt",
+        self.encode_unimodal(self.embed_image(batch.patches), "img", record_attn=rec_img)
+        self.encode_unimodal(self.embed_text(batch.ids), "txt", pad_mask=batch.pad_mask,
                              record_attn=rec_txt)
-        img_row = rec_img[-1][0, :, 0, 1:].mean(axis=0)  # drop [CLS] key
-        img_heat = (img_row / img_row.sum()).reshape(g, g, g)
-        txt_row = np.zeros(self.config.l_max)
-        txt_row[1:tokens.length] = rec_txt[-1][0, :, 0, 1:].mean(axis=0)
-        total = txt_row.sum()
-        if total > 0:
-            txt_row = txt_row / total
-        else:
-            txt_row[0] = 1.0  # only [CLS] present; all weight on it
-        return img_heat, txt_row
+        img = rec_img[-1][:, :, 0, 1:].mean(axis=1)  # drop [CLS] key
+        txt = np.zeros((len(batch.ids), self.config.l_max))
+        # pad keys already hold exactly 0: the -1e30 bias underflows in exp
+        txt[:, 1:batch.ids.shape[1]] = rec_txt[-1][:, :, 0, 1:].mean(axis=1)
+        txt[txt.sum(axis=1) == 0, 0] = 1.0
+        return ((img / img.sum(axis=1, keepdims=True)).reshape(-1, g, g, g),
+                txt / txt.sum(axis=1, keepdims=True))
+
+    def extract_attention_map(self, patches: PatchGrid,
+                              tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
+        """Row 0 of `attention_maps` on a batch of this one record."""
+        heat, txt = self.attention_maps(Batch.stack([patches], [tokens]))
+        return heat[0], txt[0]

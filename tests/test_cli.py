@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from alignfuse import checkpoint as ckpt
+from alignfuse import cli
 from alignfuse.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from alignfuse.data import read_volume, write_volume
-from alignfuse.train import modality_gap
+from alignfuse.data import load_dataset, read_volume, write_volume
+from alignfuse.train import (PREDICT_CHUNK, load_model_checkpoint, modality_gap,
+                             prepare_examples)
 
 TINY_CFG = {
     "model": {"d_model": 8, "n_heads": 2, "n_enc_layers": 1,
@@ -67,6 +69,14 @@ class TestSynth:
 
     def test_missing_required_flag(self, capsys):
         assert main(["synth", "--n", "4"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("side", [0, 4])
+    def test_side_below_five_exits_2(self, tmp_path, capsys, side):
+        out = tmp_path / "ds"
+        assert main(["synth", "--n", "4", "--side", str(side),
+                     "--out", str(out)]) == EXIT_DATA
+        assert "side" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -150,6 +160,38 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("raw", [{"model": None}, {"train": "x"}, {"train": []}],
+                             ids=["model_null", "train_string", "train_list"])
+    def test_config_section_not_an_object(self, trained, tmp_path, capsys, raw):
+        ds, _, _ = trained
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["train", "--dataset", str(ds), "--config", str(bad),
+                   "--out", str(tmp_path / "r")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert next(iter(raw)) in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("steps,eval_every,calls", [(6, 3, 2), (5, 3, 2), (0, 3, 1)])
+    def test_final_evaluation_reuses_the_last_step_report(
+            self, trained, tmp_path, monkeypatch, steps, eval_every, calls):
+        ds, _, _ = trained
+        counted, evaluate = [], cli.evaluate
+
+        def counting_evaluate(model, examples):
+            counted.append(1)
+            return evaluate(model, examples)
+
+        monkeypatch.setattr(cli, "evaluate", counting_evaluate)
+        cfg = {**TINY_CFG, "train": {**TINY_CFG["train"], "steps": steps,
+                                     "eval_every": eval_every}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--dataset", str(ds), "--config", str(path),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert len(counted) == calls
+
     def test_malformed_dataset_manifest(self, trained, tmp_path, capsys):
         _, _, cfg = trained
         ds = tmp_path / "ds"
@@ -188,6 +230,21 @@ class TestEval:
         junk.write_bytes(b"garbage bytes here")
         rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(junk)])
         assert rc == EXIT_DATA
+
+    def test_blob_shape_larger_than_file(self, trained, tmp_path, capsys):
+        ds, run, _ = trained
+        raw = bytearray((run / "final.ckpt").read_bytes())
+        # magic, version, header length, header, blob count, name length, name, ndim
+        header_len = struct.unpack_from("<I", raw, 8)[0]
+        name_at = 12 + header_len + 8
+        name_len = struct.unpack_from("<I", raw, name_at - 4)[0]
+        struct.pack_into("<I", raw, name_at + name_len + 4, 0xFFFFFFF0)
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(bad)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "unexpected end of file" in err and "Traceback" not in err
 
 
 def edit_checkpoint(src: Path, dst: Path, edit) -> Path:
@@ -255,6 +312,28 @@ class TestExport:
             assert abs(heat.sum() - 1.0) < 1e-6
             txt = np.array(r["text_weights"])
             assert abs(txt.sum() - 1.0) < 1e-6
+
+    def test_attention_batches_match_single_records(self, trained, tmp_path):
+        ds, run, _ = trained
+        # 10 records leave a tail chunk shorter than the inference batch
+        ds10 = tmp_path / "ds10"
+        assert main(["synth", "--n", "10", "--classes", "3", "--side", "16",
+                     "--seed", "0", "--out", str(ds10)]) == EXIT_OK
+        out = tmp_path / "att"
+        assert main(["export", "--dataset", str(ds10), "--checkpoint",
+                     str(run / "final.ckpt"), "--what", "attention",
+                     "--out", str(out)]) == EXIT_OK
+        rows = [json.loads(l) for l in
+                (out / "attention.jsonl").read_text().splitlines()]
+        model, vocab, _ = load_model_checkpoint(run / "final.ckpt")
+        examples = prepare_examples(load_dataset(ds10), vocab, model.config)
+        assert 10 % PREDICT_CHUNK == 2
+        assert [r["index"] for r in rows] == list(range(10))
+        assert [r["label"] for r in rows] == [ex.label for ex in examples]
+        for r, ex in zip(rows, examples):
+            heat, txt = model.extract_attention_map(ex.patches, ex.tokens)
+            assert np.allclose(r["image_heat"], heat, rtol=0.0, atol=1e-12)
+            assert np.allclose(r["text_weights"], txt, rtol=0.0, atol=1e-12)
 
     def test_invalid_what_flag(self, trained, tmp_path):
         ds, run, _ = trained

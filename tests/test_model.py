@@ -573,6 +573,23 @@ class TestAttentionMap:
         assert np.allclose(txt, row / row.sum(), rtol=0.0, atol=1e-12)
 
 
+    def test_batch_rows_match_single_records(self):
+        cfg = tiny_config(l_max=12)
+        model = AlignFuseModel(cfg, seed=3)
+        patches, tokens = ragged_batch(cfg, [1, 8, 5])
+        heat, txt = model.attention_maps(Batch.stack(patches, tokens))
+        assert heat.shape == (3,) + (cfg.grid_side,) * 3
+        assert txt.shape == (3, cfg.l_max)
+        for j, (p, t) in enumerate(zip(patches, tokens)):
+            one_heat, one_txt = model.extract_attention_map(p, t)
+            assert np.allclose(heat[j], one_heat, rtol=0.0, atol=1e-12)
+            assert np.allclose(txt[j], one_txt, rtol=0.0, atol=1e-12)
+        # the [CLS]-only record is one-hot at [CLS]; the others are zero there
+        assert np.array_equal(txt[0], np.eye(cfg.l_max)[0])
+        assert txt[1, 0] == 0.0 and txt[2, 0] == 0.0
+        assert np.all(txt[1, 8:] == 0.0) and np.all(txt[2, 5:] == 0.0)
+
+
 class TestFullModelGradient:
     def test_full_loss_finite_difference(self):
         from alignfuse.losses import LossWeights
