@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MagicMismatchError, TruncatedFileError, VersionMismatchError
+from .errors import (CheckpointError, MagicMismatchError, TruncatedFileError,
+                     VersionMismatchError)
 
 MAGIC = b"ALIF"
 VERSION = 1
@@ -41,8 +42,14 @@ class _Reader:
     def read_u32(self) -> int:
         return struct.unpack("<I", self.read(4))[0]
 
+    def read_text(self, what: str) -> str:
+        try:
+            return self.read(self.read_u32()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8: {e}") from e
+
     def read_blob(self) -> tuple[str, np.ndarray]:
-        name = self.read(self.read_u32()).decode("utf-8")
+        name = self.read_text("blob name")
         ndim = self.read_u32()
         shape = struct.unpack(f"<{ndim}I", self.read(4 * ndim)) if ndim else ()
         data = np.frombuffer(self.read(math.prod(shape) * 8), dtype="<f8").reshape(shape)
@@ -77,7 +84,12 @@ def load_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[str, 
         version = r.read_u32()
         if version != VERSION:
             raise VersionMismatchError(f"{path}: unsupported version {version}")
-        config_payload = json.loads(r.read(r.read_u32()).decode("utf-8"))
+        try:
+            config_payload = json.loads(r.read_text("header"))
+        except json.JSONDecodeError as e:
+            raise CheckpointError(f"{path}: header is not JSON: {e}") from e
+        if not isinstance(config_payload, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         sections = []
         for _ in range(2):
             section: dict[str, np.ndarray] = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, LabelError, NumericError
+from .errors import ContractError, DimensionError, LabelError, NumericError, check_fields
 from .tensor import Tensor, as_tensor, cross_entropy, unit_rows
 
 
@@ -21,6 +21,9 @@ class LossWeights:
     contrastive: float = 1.0
     reconstruction: float = 1.0
     classification: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self, {"contrastive": 0, "reconstruction": 0, "classification": 0})
 
 
 @dataclass

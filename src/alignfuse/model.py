@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Batch, PatchGrid, TokenSequence, validate_ids
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, check_fields
 from .tensor import (
     LN_EPS,
     NEG_MASK_BIAS,
@@ -46,8 +46,9 @@ class ModelConfig:
     mask_ratio: float = 0.5
 
     def __post_init__(self):
-        if self.n_heads < 1 or self.patch_size < 1:
-            raise ConfigError("n_heads and patch_size must be >= 1")
+        check_fields(self, {"d_model": 1, "n_heads": 1, "n_enc_layers": 0, "n_dec_layers": 0,
+                            "patch_size": 1, "volume_side": 1, "vocab_size": 1, "l_max": 1,
+                            "n_classes": 1})
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if not 0.0 <= self.mask_ratio < 1.0:

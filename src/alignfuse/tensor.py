@@ -132,10 +132,8 @@ class Tensor:
         return out
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:  # a copy: a closure may pass one array to two parents
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=np.float64)
-        else:
-            self.grad += g
+        # g may be shared with another parent or be a read-only view: never write into it
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- basic properties -----------------------------------------------------
 
@@ -291,11 +289,8 @@ class Tensor:
         a = self
 
         def backward(g):
-            if axis is None:
-                a._accum(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(gg, a.data.shape).copy())
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            a._accum(np.broadcast_to(gg, a.data.shape))
 
         return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -485,7 +480,7 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
     if loss.data.size != 1:
         raise ContractError("finite_diff_check requires a scalar-valued f")
     loss.backward()
-    analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
+    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
     x.grad = None
 
     n = x.data.size

@@ -12,6 +12,7 @@ from scipy.stats import rankdata
 
 from . import checkpoint as ckpt
 from .data import (
+    RESERVED,
     Batch,
     PatchGrid,
     PatientRecord,
@@ -22,7 +23,8 @@ from .data import (
     textualize_record,
     tokenize,
 )
-from .errors import CheckpointError, ConfigError, DegenerateInputError, LabelError, NumericError
+from .errors import (CheckpointError, ConfigError, DegenerateInputError, LabelError,
+                     NumericError, check_fields)
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -51,11 +53,10 @@ class TrainConfig:
     grad_clip: float | None = None
 
     def __post_init__(self):
-        for name, least in (("batch_size", 1), ("eval_every", 1), ("steps", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        check_fields(self, {"batch_size": 1, "eval_every": 1, "steps": 0, "weight_decay": 0})
+        for name in ("lr", "grad_clip"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -90,7 +91,7 @@ class AdamW:
                 scale = cfg.grad_clip / total
                 for p in self.params.values():
                     if p.grad is not None:
-                        p.grad *= scale
+                        p.grad = p.grad * scale
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
@@ -119,8 +120,8 @@ class AdamW:
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         self.t = int(state["t"])
         for name in self.params:
-            self.m[name] = state[f"{name}.m"].copy()
-            self.v[name] = state[f"{name}.v"].copy()
+            self.m[name] = state[f"{name}.m"]
+            self.v[name] = state[f"{name}.v"]
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +315,34 @@ def save_model_checkpoint(path: Path, model: AlignFuseModel, vocab: Vocab,
 def _check_blobs(path: Path, section: str, blobs: dict[str, np.ndarray],
                  shapes: dict[str, tuple]) -> None:
     """CheckpointError naming the first blob of `section` that is missing,
-    unexpected or of another shape than `shapes` gives."""
+    unexpected, of another shape than `shapes` gives, or not finite."""
     found = {name: blob.shape for name, blob in blobs.items()}
     for name in sorted(found.keys() | shapes.keys()):
         if found.get(name) != shapes.get(name):
             raise CheckpointError(f"{path}: {section} blob {name!r} has shape "
                                   f"{found.get(name, '(absent)')} in the checkpoint and "
                                   f"{shapes.get(name, '(absent)')} in the model")
+        if not np.isfinite(blobs[name]).all():
+            raise CheckpointError(f"{path}: {section} blob {name!r} is not finite")
 
 
 def load_model_checkpoint(path: Path, train_cfg: TrainConfig | None = None,
                           ) -> tuple[AlignFuseModel, Vocab, AdamW | None]:
     """Model, vocabulary and (with `train_cfg`) optimizer of a checkpoint;
-    a header, parameter or optimizer blob that does not fit the model raises
-    CheckpointError."""
+    a header, vocabulary, parameter or optimizer blob that does not fit the
+    model raises CheckpointError."""
     payload, params, state = ckpt.load_checkpoint(path)
     try:
         config = ModelConfig.from_dict(payload["model_config"])
-        vocab = Vocab(tokens=list(payload["vocab"]))
-    except (KeyError, ConfigError, TypeError) as e:
+        tokens = payload["vocab"]
+    except (KeyError, ConfigError, TypeError, AttributeError) as e:
         raise CheckpointError(f"{path}: bad header: {e!r}") from e
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+        raise CheckpointError(f"{path}: vocab must be a list of strings")
+    if tokens[:len(RESERVED)] != RESERVED or len(tokens) > config.vocab_size:
+        raise CheckpointError(f"{path}: vocab must start with {RESERVED} and hold at "
+                              f"most vocab_size={config.vocab_size} tokens, not {len(tokens)}")
+    vocab = Vocab(tokens=tokens)
     model = AlignFuseModel(config, seed=0)
     shapes = {name: p.data.shape for name, p in model.params.items()}
     _check_blobs(path, "parameter", params, shapes)
@@ -341,7 +350,7 @@ def load_model_checkpoint(path: Path, train_cfg: TrainConfig | None = None,
         _check_blobs(path, "optimizer", state, {"t": (), **{
             f"{name}.{k}": shape for name, shape in shapes.items() for k in "mv"}})
     for name, p in model.params.items():
-        p.data = params[name].copy()
+        p.data = params[name]
     optim = None
     if train_cfg is not None:
         optim = AdamW(model.params, train_cfg)

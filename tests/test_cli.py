@@ -160,6 +160,30 @@ class TestTrain:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("train", "steps", 1.5), ("train", "seed", 1.5), ("train", "steps", True),
+        ("train", "batch_size", 2.5), ("train", "grad_clip", "1"), ("model", "d_model", 8.0),
+        ("train.weights", "contrastive", "x"), ("model", "l_max", 0), ("model", "d_model", 0),
+        ("model", "n_enc_layers", -1), ("train", "weight_decay", -1), ("train", "grad_clip", 0),
+        ("train", "lr", float("nan")), ("train", "weight_decay", float("nan")),
+        ("train.weights", "contrastive", float("inf")),
+        ("train.weights", "classification", -1.0)])
+    def test_bad_config_value(self, trained, tmp_path, capsys, section, field, value):
+        ds, _, _ = trained
+        cfg = json.loads(json.dumps(TINY_CFG))
+        if section == "train.weights":
+            cfg["train"]["weights"] = {field: value}
+        else:
+            cfg[section][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))  # NaN and Infinity as Python's json writes them
+        rc = main(["train", "--dataset", str(ds), "--config", str(bad),
+                   "--out", str(tmp_path / "r")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("raw", [{"model": None}, {"train": "x"}, {"train": []}],
                              ids=["model_null", "train_string", "train_list"])
     def test_config_section_not_an_object(self, trained, tmp_path, capsys, raw):
@@ -234,9 +258,7 @@ class TestEval:
     def test_blob_shape_larger_than_file(self, trained, tmp_path, capsys):
         ds, run, _ = trained
         raw = bytearray((run / "final.ckpt").read_bytes())
-        # magic, version, header length, header, blob count, name length, name, ndim
-        header_len = struct.unpack_from("<I", raw, 8)[0]
-        name_at = 12 + header_len + 8
+        name_at = first_blob_name_at(raw)
         name_len = struct.unpack_from("<I", raw, name_at - 4)[0]
         struct.pack_into("<I", raw, name_at + name_len + 4, 0xFFFFFFF0)
         bad = tmp_path / "bad.ckpt"
@@ -245,6 +267,44 @@ class TestEval:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert "unexpected end of file" in err and "Traceback" not in err
+
+
+def first_blob_name_at(raw: bytes) -> int:
+    """Offset of the first blob name in checkpoint bytes `raw`: magic,
+    version, header length, header, blob count, name length, name."""
+    return 12 + struct.unpack_from("<I", raw, 8)[0] + 8
+
+
+# offset of the byte to overwrite, its new value, and the message
+CORRUPT_BYTE = {
+    "header_not_utf8": (lambda raw: 12, 0xFF, "header is not UTF-8"),
+    "header_not_json": (lambda raw: 12, ord("x"), "header is not JSON"),
+    "blob_name_not_utf8": (first_blob_name_at, 0xFF, "blob name is not UTF-8"),
+}
+
+
+class TestCorruptCheckpointBytes:
+    @pytest.mark.parametrize("case", sorted(CORRUPT_BYTE))
+    def test_eval_exits_2(self, trained, tmp_path, capsys, case):
+        ds, run, _ = trained
+        at, value, message = CORRUPT_BYTE[case]
+        raw = bytearray((run / "final.ckpt").read_bytes())
+        raw[at(raw)] = value
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(bad)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_header_not_an_object_exits_2(self, trained, tmp_path, capsys):
+        ds, run, _ = trained
+        header, params, state = ckpt.load_checkpoint(run / "final.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        ckpt.save_checkpoint(bad, [header], params, state)
+        rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(bad)])
+        assert rc == EXIT_DATA
+        assert "header is not a JSON object" in capsys.readouterr().err
 
 
 def edit_checkpoint(src: Path, dst: Path, edit) -> Path:
@@ -265,6 +325,18 @@ BAD_CHECKPOINT = {
                         "img.lp.w.m"),
     "unknown_header_field": (
         lambda h, p, s: h["model_config"].update({"n_experts": 2}), "n_experts"),
+    "model_config_not_object": (lambda h, p, s: h.update({"model_config": []}),
+                                "bad header"),
+    "bad_header_value": (lambda h, p, s: h["model_config"].update({"d_model": 8.0}),
+                         "d_model"),
+    "nan_param": (lambda h, p, s: p["fusion.l2.b"].fill(np.nan), "fusion.l2.b"),
+    "inf_log_tau": (lambda h, p, s: p["log_tau"].fill(np.inf), "log_tau"),
+    "nan_optimizer_state": (lambda h, p, s: s["img.lp.w.v"].fill(np.nan), "img.lp.w.v"),
+    "vocab_too_long": (lambda h, p, s: h["vocab"].extend(f"w{i}" for i in range(60)),
+                       "vocab_size=48"),
+    "vocab_string": (lambda h, p, s: h.update({"vocab": "abc"}), "vocab"),
+    "vocab_not_strings": (lambda h, p, s: h["vocab"].append(7), "vocab"),
+    "vocab_without_reserved": (lambda h, p, s: h.update({"vocab": ["[PAD]"]}), "vocab"),
 }
 
 

@@ -13,13 +13,33 @@ from alignfuse.train import TrainConfig
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def package_nodes():
+    """(file name, node) for every AST node of the package source."""
+    root = Path(alignfuse.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_no_assert_statements():
     # contract checks must raise: `python -O` strips assert statements
-    root = Path(alignfuse.__file__).parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(root.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def is_grad(target: ast.expr) -> bool:
+    """`target` is a `.grad` attribute or a subscript of one."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr == "grad"
+
+
+def test_no_in_place_gradient_writes():
+    # a gradient handed to Tensor._accum may be shared with another parent
+    # or be a read-only view, so nothing may write into it
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if isinstance(node, ast.AugAssign) and is_grad(node.target)]
     assert found == []
 
 

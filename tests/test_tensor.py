@@ -212,6 +212,41 @@ class TestBackward:
         with pytest.raises(NumericError):
             Tensor([-1.0]).log()
 
+    # ops whose backward hands on its incoming gradient, or a view of it
+    PASS_THROUGH = {
+        "x+x": lambda u, v: u + u,
+        "x+y": lambda u, v: u + v,
+        "reshape": lambda u, v: u.reshape(4, 3) + v.reshape(4, 3),
+        "transpose": lambda u, v: u.transpose(1, 0) + v.transpose(1, 0),
+        "concat": lambda u, v: concat([u, v], axis=1),
+        "sum": lambda u, v: u.sum() + v.sum(),
+        "sum_keepdims": lambda u, v: u.sum(keepdims=True) + v.sum(keepdims=True),
+        "sum_axis": lambda u, v: u.sum(axis=0) + v.sum(axis=0),
+        "sum_axis_keepdims": lambda u, v: (u.sum(axis=1, keepdims=True)
+                                           + v.sum(axis=1, keepdims=True)),
+        "mean": lambda u, v: u.mean() + v.mean(),
+        "mean_axis": lambda u, v: u.mean(axis=1) + v.mean(axis=1),
+        "mean_axis_keepdims": lambda u, v: (u.mean(axis=0, keepdims=True)
+                                            + v.mean(axis=0, keepdims=True)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PASS_THROUGH))
+    def test_shared_gradient_then_reused(self, case):
+        # u and v receive one gradient array (or views of it) from the op and
+        # take their second gradients afterwards: adding one to u's must
+        # leave v's alone
+        x = rand_tensor((3, 4), seed=11)
+        c1 = Tensor(np.linspace(0.5, 1.5, 12).reshape(3, 4))
+        c2 = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+
+        def f(t):
+            u, v = t * c1, t * c2
+            out = self.PASS_THROUGH[case](u, v)
+            w = Tensor(np.cos(np.arange(out.size) + 1.0).reshape(out.shape))
+            return (out * w).sum() + (u * u + v * c1).sum()
+
+        assert finite_diff_check(f, x) < 1e-6
+
 
 class TestGetitem:
     def weights(self, shape):

@@ -115,6 +115,14 @@ class TestAdamW:
         assert norm <= 1.0 + 1e-12
         assert np.allclose(a.grad, [3.0 / 13.0, 4.0 / 13.0])
 
+    def test_grad_clip_takes_a_read_only_gradient(self):
+        # Tensor.sum hands its parent a read-only broadcast view
+        p = Tensor(np.zeros((2, 3)), requires_grad=True)
+        opt = AdamW({"p": p}, TrainConfig(lr=0.1, grad_clip=1.0))
+        p.grad = np.broadcast_to(np.array(2.0), (2, 3))  # norm 2 * sqrt(6)
+        opt.step()
+        assert np.allclose(p.grad, 1.0 / math.sqrt(6.0))
+
     def test_grad_clip_leaves_small_gradients_alone(self):
         grads = {"a": np.array([0.3, -0.4]), "b": np.array([[0.1]])}  # norm < 1
         results = []
