@@ -59,8 +59,9 @@ class _Reader:
 def save_checkpoint(path: Path, config_payload: dict,
                     params: dict[str, np.ndarray],
                     optim_state: dict[str, np.ndarray]) -> None:
-    """`config_payload` is any JSON-serializable header (model config, vocab,
-    step counter); `params` and `optim_state` are name -> float64 arrays."""
+    """`config_payload` is any JSON-serializable header (model config,
+    vocab); `params` and `optim_state` are name -> float64 arrays. The step
+    counter is the optimizer state's `t` blob."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = json.dumps(config_payload, sort_keys=True).encode("utf-8")

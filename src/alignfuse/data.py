@@ -70,10 +70,6 @@ class PatchGrid:
     side: int
     patch_size: int
 
-    @property
-    def n_patches(self) -> int:
-        return self.patches.shape[0]
-
 
 @dataclass
 class TokenSequence:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, LabelError, NumericError, check_fields
+from .errors import ContractError, DimensionError, LabelError, check_fields
 from .tensor import Tensor, as_tensor, cross_entropy, unit_rows
 
 
@@ -115,9 +115,6 @@ def total_loss(contrastive: Tensor, recon_image: Tensor, recon_text: Tensor,
                classification: Tensor,
                weights: LossWeights | None = None) -> LossBreakdown:
     weights = weights or LossWeights()
-    for part in (contrastive, recon_image, recon_text, classification):
-        if not np.isfinite(part.data).all():
-            raise NumericError("non-finite loss component")
     total = (weights.contrastive * contrastive
              + weights.reconstruction * (recon_image + recon_text)
              + weights.classification * classification)

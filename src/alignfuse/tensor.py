@@ -182,9 +182,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         a, b = self, other
@@ -198,13 +195,6 @@ class Tensor:
         return Tensor._result(a.data * b.data, (a, b), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        return self * other ** -1.0
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) * self ** -1.0
 
     def __pow__(self, exponent: float):
         a = self
@@ -240,8 +230,6 @@ class Tensor:
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
         old = a.data.shape
 
@@ -251,8 +239,6 @@ class Tensor:
         return Tensor._result(a.data.reshape(shape), (a,), backward)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         a = self
         inv = np.argsort(axes)
 
@@ -445,14 +431,27 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine, as
+    one node whose backward keeps only xhat and 1/std (Ba et al., 2016)."""
     if gamma.data.shape[-1] != x.data.shape[-1] or beta.data.shape[-1] != x.data.shape[-1]:
         raise DimensionError("gamma/beta must match the last axis of x")
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    xhat = centered * (var + LN_EPS) ** -0.5
-    return xhat * gamma + beta
+
+    def mean(a):  # sum times 1/n as in Tensor.mean: outputs equal the composition bitwise
+        return a.sum(axis=-1, keepdims=True) * (1.0 / x.data.shape[-1])
+    xhat = x.data - mean(x.data)
+    inv_std = (mean(xhat * xhat) + LN_EPS) ** -0.5
+    xhat *= inv_std
+
+    def backward(g):
+        if gamma.requires_grad:
+            gamma._accum(_unbroadcast(g * xhat, gamma.data.shape))
+        if beta.requires_grad:
+            beta._accum(_unbroadcast(g, beta.data.shape))
+        if x.requires_grad:
+            gx = g * gamma.data
+            x._accum(inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)))
+
+    return Tensor._result(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
 def unit_rows(x: Tensor) -> Tensor:

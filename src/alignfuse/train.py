@@ -302,11 +302,7 @@ def evaluate(model: AlignFuseModel, examples: list[Example]) -> EvalReport:
 
 def save_model_checkpoint(path: Path, model: AlignFuseModel, vocab: Vocab,
                           optim: AdamW | None = None) -> None:
-    payload = {
-        "model_config": model.config.to_dict(),
-        "vocab": vocab.tokens,
-        "step": optim.t if optim is not None else 0,
-    }
+    payload = {"model_config": model.config.to_dict(), "vocab": vocab.tokens}
     params = {name: p.data for name, p in model.params.items()}
     state = optim.state_arrays() if optim is not None else {}
     ckpt.save_checkpoint(path, payload, params, state)
@@ -342,6 +338,9 @@ def load_model_checkpoint(path: Path, train_cfg: TrainConfig | None = None,
     if tokens[:len(RESERVED)] != RESERVED or len(tokens) > config.vocab_size:
         raise CheckpointError(f"{path}: vocab must start with {RESERVED} and hold at "
                               f"most vocab_size={config.vocab_size} tokens, not {len(tokens)}")
+    if len(set(tokens)) < len(tokens):
+        repeated = next(t for i, t in enumerate(tokens) if tokens.index(t) < i)
+        raise CheckpointError(f"{path}: vocab repeats the token {repeated!r}")
     vocab = Vocab(tokens=tokens)
     model = AlignFuseModel(config, seed=0)
     shapes = {name: p.data.shape for name, p in model.params.items()}

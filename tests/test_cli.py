@@ -130,6 +130,29 @@ class TestTrain:
         entries = (run_a / "metrics.jsonl").read_text().splitlines()
         assert entries == []
 
+    def test_seed_flag_overrides_the_config_seed(self, trained, tmp_path):
+        ds, _, _ = trained
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TINY_CFG, "train": {**TINY_CFG["train"], "steps": 0}}))
+        assert main(["train", "--dataset", str(ds), "--config", str(cfg), "--seed", "5",
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "r" / "run_manifest.json").read_text())
+        assert manifest["seed"] == manifest["train_config"]["seed"] == 5
+
+    @pytest.mark.parametrize("raw,message", [
+        ([TINY_CFG], "must contain a JSON object"),
+        ({**TINY_CFG, "optim": {}}, "unknown config sections: ['optim']")],
+        ids=["array", "unknown_section"])
+    def test_config_file_shape(self, trained, tmp_path, capsys, raw, message):
+        ds, _, _ = trained
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["train", "--dataset", str(ds), "--config", str(bad),
+                   "--out", str(tmp_path / "r")])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_config_file(self, trained, tmp_path):
         ds, _, _ = trained
         rc = main(["train", "--dataset", str(ds), "--config",
@@ -240,6 +263,22 @@ class TestEval:
         report = json.loads(outs[0])
         assert report["n"] == 12
         assert 0.0 <= report["accuracy"] <= 1.0
+
+    def test_out_directory_gets_eval_report(self, trained, tmp_path, capsys):
+        ds, run, _ = trained
+        out = tmp_path / "reports"
+        assert main(["eval", "--dataset", str(ds), "--checkpoint", str(run / "final.ckpt"),
+                     "--out", f"{out}/"]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert (out / "eval_report.json").read_text() == printed
+
+    def test_trailing_bytes(self, trained, tmp_path, capsys):
+        ds, run, _ = trained
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes((run / "final.ckpt").read_bytes() + b"\0")
+        rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(bad)])
+        assert rc == EXIT_DATA
+        assert "trailing bytes" in capsys.readouterr().err
 
     def test_truncated_checkpoint(self, trained, tmp_path):
         ds, run, _ = trained
@@ -352,6 +391,18 @@ class TestBadCheckpoint:
         assert name in err and "Traceback" not in err
 
 
+    def test_repeated_vocab_token_exits_2(self, trained, tmp_path, capsys):
+        # entry 4 copied over entry 5 would tokenize every record differently
+        ds, run, _ = trained
+        token = ckpt.load_checkpoint(run / "final.ckpt")[0]["vocab"][4]
+        bad = edit_checkpoint(run / "final.ckpt", tmp_path / "bad.ckpt",
+                              lambda h, p, s: h["vocab"].__setitem__(5, h["vocab"][4]))
+        rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(bad)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"repeats the token {token!r}" in err and "Traceback" not in err
+
+
 class TestExport:
     def test_embeddings_rows_and_gap_recomputation(self, trained, tmp_path):
         ds, run, _ = trained
@@ -443,6 +494,24 @@ MALFORMED_FIRST_LINE = {
     "negative_label": lambda rec: json.dumps({**rec, "label": -1}),
     "volume_outside_root": lambda rec: json.dumps(
         {**rec, "volume": "../other/00001.vol"}),
+    "demographics_not_an_object": lambda rec: json.dumps({**rec, "demographics": [1]}),
+}
+
+
+def edit_volume(ds: Path, edit) -> None:
+    """Replace the bytes of volume 00001 of dataset `ds` by `edit(bytes)`."""
+    path = ds / "volumes" / "00001.vol"
+    path.write_bytes(edit(path.read_bytes()))
+
+
+# an edit of a dataset directory, and the message it must exit 2 with
+BAD_DATASET = {
+    "empty_manifest": (lambda ds: (ds / "manifest.jsonl").write_text(""), "empty dataset"),
+    "short_volume_header": (lambda ds: edit_volume(ds, lambda raw: raw[:19]),
+                            "00001.vol: truncated volume header"),
+    "volume_version_2": (lambda ds: edit_volume(
+        ds, lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:]),
+        "00001.vol: unsupported volume version 2"),
 }
 
 
@@ -477,6 +546,16 @@ class TestBadDataset:
         path.write_bytes(raw + bytes(100 - len(raw)))
         assert run_on(command, ds, trained, tmp_path) == EXIT_DATA
         assert "00002.vol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case", sorted(BAD_DATASET))
+    def test_bad_dataset_exits_2(self, trained, tmp_path, capsys, case, command):
+        ds = copy_dataset(trained[0], tmp_path / "ds")
+        edit, message = BAD_DATASET[case]
+        edit(ds)
+        assert run_on(command, ds, trained, tmp_path) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_label_outside_model_classes(self, trained, tmp_path, capsys,

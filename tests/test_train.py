@@ -13,11 +13,14 @@ from alignfuse.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from alignfuse.losses import LossWeights
 from alignfuse.model import AlignFuseModel, ModelConfig
-from alignfuse.tensor import Tensor
+from alignfuse.tensor import RngStream, Tensor
 from alignfuse.train import (
     AdamW,
     TrainConfig,
+    batch_loss,
+    collate,
     compute_auc,
     dataset_corpus,
     evaluate,
@@ -292,6 +295,19 @@ class TestTrainSteps:
         tau = float(model.temperature().data[0])
         assert 0.01 - 1e-12 <= tau <= 1.0 + 1e-12
 
+    def test_graph_size_is_pinned(self):
+        # tensors reachable from one tiny batch's loss, parameters included;
+        # any change in an op's node count moves it (a layer norm is one node)
+        model, _, examples = tiny_setup()
+        total = batch_loss(model, collate(examples), LossWeights(), RngStream(0)).total
+        seen, stack = set(), [total]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._prev)
+        assert len(seen) == 383
+
 
 class TestCheckpointing:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -354,6 +370,20 @@ class TestCheckpointing:
         model2, _, _ = load_model_checkpoint(path)
         assert model2.config == model.config
         assert params_digest(model2) == params_digest(model)
+
+    def test_header_step_is_not_written_and_an_old_one_is_ignored(self, tmp_path):
+        model, vocab, examples = tiny_setup(n=4)
+        cfg = TrainConfig(batch_size=4, steps=2, seed=0)
+        optim = AdamW(model.params, cfg)
+        train_steps(model, optim, examples, cfg)
+        path = tmp_path / "m.ckpt"
+        save_model_checkpoint(path, model, vocab, optim)
+        payload, params, state = ckpt.load_checkpoint(path)
+        assert set(payload) == {"model_config", "vocab"}
+        # checkpoints written before held the step in the header too
+        ckpt.save_checkpoint(path, {**payload, "step": 7}, params, state)
+        _, _, optim2 = load_model_checkpoint(path, cfg)
+        assert optim2.t == 2
 
     # the CLI tests cover parameter blobs and the header; these are the
     # optimizer-state cases they leave out
