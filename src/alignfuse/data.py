@@ -157,13 +157,6 @@ def patchify(volume: np.ndarray, patch_size: int) -> PatchGrid:
     return PatchGrid(patches=blocks.reshape(g ** 3, p ** 3), side=s, patch_size=p)
 
 
-def unpatchify(grid: PatchGrid) -> np.ndarray:
-    s, p = grid.side, grid.patch_size
-    g = s // p
-    blocks = grid.patches.reshape(g, g, g, p, p, p).transpose(0, 3, 1, 4, 2, 5)
-    return blocks.reshape(s, s, s)
-
-
 # ---------------------------------------------------------------------------
 # text
 

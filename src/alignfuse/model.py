@@ -24,9 +24,10 @@ from .tensor import (
     NEG_MASK_BIAS,
     RngStream,
     Tensor,
+    attention,
     concat,
     layer_norm,
-    softmax,
+    linear,
 )
 
 FFN_MULT = 4  # FFN hidden width is FFN_MULT * d_model
@@ -114,30 +115,35 @@ class AlignFuseModel:
     def _add(self, name: str, data: np.ndarray) -> None:
         self.params[name] = Tensor(data, requires_grad=True)
 
-    def _add_linear(self, name: str, d_in: int, d_out: int, rng: RngStream) -> None:
+    def _add_linear(self, name: str, d_in: int, d_out: int, rng: RngStream, bias=True) -> None:
         # fan-scaled init: std 0.02 everywhere stalls small models
         std = math.sqrt(2.0 / (d_in + d_out))
         self._add(f"{name}.w", rng.truncated_normal((d_in, d_out), std=std))
-        self._add(f"{name}.b", np.zeros(d_out))
+        if bias:
+            self._add(f"{name}.b", np.zeros(d_out))
 
     def _add_ln(self, name: str, d: int) -> None:
         self._add(f"{name}.g", np.ones(d))
         self._add(f"{name}.b", np.zeros(d))
 
+    def _add_attention(self, name: str, rng: RngStream) -> None:
+        # no key bias: q·(k + b) adds the same q·b to every score of a query,
+        # which softmax over keys cancels
+        d = self.config.d_model
+        for proj in ("wq", "wk", "wv", "wo"):
+            self._add_linear(f"{name}.{proj}", d, d, rng, bias=proj != "wk")
+
     def _add_block(self, name: str, rng: RngStream) -> None:
         d, f = self.config.d_model, FFN_MULT * self.config.d_model
         self._add_ln(f"{name}.ln1", d)
-        for proj in ("wq", "wk", "wv", "wo"):
-            self._add_linear(f"{name}.sa.{proj}", d, d, rng)
+        self._add_attention(f"{name}.sa", rng)
         self._add_ln(f"{name}.ln2", d)
         self._add_linear(f"{name}.ffn.l1", d, f, rng)
         self._add_linear(f"{name}.ffn.l2", f, d, rng)
 
     def _add_ca(self, name: str, rng: RngStream) -> None:
-        d = self.config.d_model
-        self._add_ln(f"{name}.ln", d)
-        for proj in ("wq", "wk", "wv", "wo"):
-            self._add_linear(f"{name}.{proj}", d, d, rng)
+        self._add_ln(f"{name}.ln", self.config.d_model)
+        self._add_attention(name, rng)
 
     def _init_params(self, rng: RngStream) -> None:
         cfg = self.config
@@ -164,29 +170,18 @@ class AlignFuseModel:
     # -- primitives -----------------------------------------------------------
 
     def _linear(self, name: str, x: Tensor) -> Tensor:
-        return x @ self.params[f"{name}.w"] + self.params[f"{name}.b"]
+        return linear(x, self.params[f"{name}.w"], self.params.get(f"{name}.b"))
 
     def _ln(self, name: str, x: Tensor) -> Tensor:
         return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _attention(self, name: str, x_q: Tensor, x_kv: Tensor,
-                   key_bias: np.ndarray | None,
+    def _attention(self, name: str, x_q: Tensor, x_kv: Tensor, key_bias: np.ndarray | None,
                    record: list | None = None) -> Tensor:
-        """Multi-head attention of (B, Nq, d) queries over (B, Nkv, d) keys.
-        The 1/sqrt(d_h) scale is applied to q, so no scaled copy of the
-        (B, h, Nq, Nkv) scores is kept."""
-        h, d = self.config.n_heads, self.config.d_model
-        dh = d // h
-        (b, n_q, _), n_kv = x_q.shape, x_kv.shape[1]
-        q = (self._linear(f"{name}.wq", x_q) * (1.0 / math.sqrt(dh))
-             ).reshape(b, n_q, h, dh).transpose(0, 2, 1, 3)
-        k = self._linear(f"{name}.wk", x_kv).reshape(b, n_kv, h, dh).transpose(0, 2, 3, 1)
-        v = self._linear(f"{name}.wv", x_kv).reshape(b, n_kv, h, dh).transpose(0, 2, 1, 3)
-        att = softmax(q @ k if key_bias is None else q @ k + key_bias, axis=-1)
-        if record is not None:
-            record.append(att.data)
-        out = (att @ v).transpose(0, 2, 1, 3).reshape(b, n_q, d)
-        return self._linear(f"{name}.wo", out)
+        """Multi-head attention of (B, Nq, d) queries over (B, Nkv, d) keys."""
+        q = self._linear(f"{name}.wq", x_q)
+        k = self._linear(f"{name}.wk", x_kv)
+        v = self._linear(f"{name}.wv", x_kv)
+        return self._linear(f"{name}.wo", attention(q, k, v, self.config.n_heads, key_bias, record))
 
     def _ffn(self, name: str, x: Tensor) -> Tensor:
         return self._linear(f"{name}.l2", self._linear(f"{name}.l1", x).gelu())

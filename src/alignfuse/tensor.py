@@ -218,12 +218,7 @@ class Tensor:
             if a.requires_grad:
                 a._accum(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
             if b.requires_grad:
-                if b.data.ndim == 2 and a.data.ndim > 2:
-                    # weight of a batched linear map: one GEMM over all rows
-                    k, n = a.data.shape[-1], g.shape[-1]
-                    b._accum(a.data.reshape(-1, k).T @ g.reshape(-1, n))
-                else:
-                    b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+                b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
         return Tensor._result(a.data @ b.data, (a, b), backward)
 
@@ -452,6 +447,74 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             x._accum(inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)))
 
     return Tensor._result(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w (+ b)`` over the last axis of x as one node: the weight
+    gradient is one GEMM over all leading rows, the bias gradient a row sum."""
+    if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1] or (
+            b is not None and b.data.shape != w.data.shape[1:]):
+        raise DimensionError(f"linear map of {x.data.shape} by {w.data.shape}, bias {b}")
+    out = x.data @ w.data
+    if b is not None:
+        out += b.data
+
+    def backward(g):
+        rows = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accum(g @ w.data.T)
+        if w.requires_grad:
+            w._accum(x.data.reshape(-1, w.data.shape[0]).T @ rows)
+        if b is not None and b.requires_grad:
+            b._accum(rows.sum(axis=0))
+
+    return Tensor._result(out, (x, w) if b is None else (x, w, b), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              key_bias: np.ndarray | None = None, record: list | None = None) -> Tensor:
+    """Multi-head ``softmax(q·kᵀ/√d_h + key_bias)·v`` of (B, Nq, d) queries
+    over (B, Nkv, d) keys and values as one node. `key_bias` broadcasts to the
+    (B, h, Nq, Nkv) scores. The backward keeps only the probabilities, not the
+    scores (FlashAttention's trade, Dao et al., 2022); `record`, when given,
+    receives them."""
+    (b, n_q, d), n_kv = q.data.shape, k.data.shape[1]
+    if d % n_heads or k.data.shape != (b, n_kv, d) or v.data.shape != k.data.shape:
+        raise DimensionError(f"attention of {q.data.shape} over {k.data.shape} keys and "
+                             f"{v.data.shape} values in {n_heads} heads")
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):  # (B, N, d) -> contiguous (B, h, N, d_h); a view of `a` when h == 1
+        return np.ascontiguousarray(a.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3))
+    def merge(a):  # (B, h, N, d_h) -> (B, N, d)
+        return a.transpose(0, 2, 1, 3).reshape(b, -1, d)
+    qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    probs = qh @ kh.swapaxes(-1, -2)
+    if key_bias is not None:
+        probs += key_bias
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if record is not None:
+        record.append(probs)
+    out = merge(probs @ vh)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._accum(merge(probs.swapaxes(-1, -2) @ gh))
+        # softmax backward in dP's own buffer; the row dot dP·P equals dO·O
+        ds = gh @ vh.swapaxes(-1, -2)
+        dot = (g * out).reshape(b, n_q, n_heads, dh).sum(axis=-1)
+        ds -= dot.transpose(0, 2, 1)[..., None]
+        ds *= probs
+        if q.requires_grad:
+            q._accum(merge(ds @ kh) * scale)
+        if k.requires_grad:
+            k._accum(merge(ds.swapaxes(-1, -2) @ qh))
+
+    return Tensor._result(out, (q, k, v), backward)
 
 
 def unit_rows(x: Tensor) -> Tensor:

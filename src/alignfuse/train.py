@@ -344,10 +344,16 @@ def load_model_checkpoint(path: Path, train_cfg: TrainConfig | None = None,
     vocab = Vocab(tokens=tokens)
     model = AlignFuseModel(config, seed=0)
     shapes = {name: p.data.shape for name, p in model.params.items()}
+    # older checkpoints hold a key-projection bias, which softmax cancels
+    params = {n: a for n, a in params.items() if not n.endswith(".wk.b")}
+    state = {n: a for n, a in state.items() if not n.endswith((".wk.b.m", ".wk.b.v"))}
     _check_blobs(path, "parameter", params, shapes)
     if state:  # a checkpoint saved without an optimizer has no state
         _check_blobs(path, "optimizer", state, {"t": (), **{
             f"{name}.{k}": shape for name, shape in shapes.items() for k in "mv"}})
+        if state["t"] < 0 or state["t"] != np.floor(state["t"]):
+            raise CheckpointError(f"{path}: optimizer step t={float(state['t'])!r} "
+                                  "is not a non-negative integer")
     for name, p in model.params.items():
         p.data = params[name]
     optim = None

@@ -371,6 +371,8 @@ BAD_CHECKPOINT = {
     "nan_param": (lambda h, p, s: p["fusion.l2.b"].fill(np.nan), "fusion.l2.b"),
     "inf_log_tau": (lambda h, p, s: p["log_tau"].fill(np.inf), "log_tau"),
     "nan_optimizer_state": (lambda h, p, s: s["img.lp.w.v"].fill(np.nan), "img.lp.w.v"),
+    "fractional_step": (lambda h, p, s: s.update({"t": np.array(2.5)}), "t=2.5"),
+    "negative_step": (lambda h, p, s: s.update({"t": np.array(-3.0)}), "t=-3.0"),
     "vocab_too_long": (lambda h, p, s: h["vocab"].extend(f"w{i}" for i in range(60)),
                        "vocab_size=48"),
     "vocab_string": (lambda h, p, s: h.update({"vocab": "abc"}), "vocab"),

@@ -12,6 +12,7 @@ from alignfuse.data import (
     CLS_ID,
     PAD_ID,
     UNK_ID,
+    PatchGrid,
     PatientRecord,
     Vocab,
     build_vocab,
@@ -24,10 +25,17 @@ from alignfuse.data import (
     textualize_record,
     tokenize,
     truncate_narrative,
-    unpatchify,
     write_volume,
 )
 from alignfuse.errors import DataFormatError, DimensionError
+
+
+def unpatchify(grid: PatchGrid) -> np.ndarray:
+    """The S^3 volume a patch grid was split from: patchify's inverse."""
+    s, p = grid.side, grid.patch_size
+    g = s // p
+    blocks = grid.patches.reshape(g, g, g, p, p, p).transpose(0, 3, 1, 4, 2, 5)
+    return blocks.reshape(s, s, s)
 
 
 def blob_position_classifier(volume: np.ndarray, side: int, n_classes: int) -> int:

@@ -590,6 +590,27 @@ class TestAttentionMap:
         assert np.all(txt[1, 8:] == 0.0) and np.all(txt[2, 5:] == 0.0)
 
 
+class TestParameters:
+    def test_desk_config_count_and_no_key_bias(self):
+        params = AlignFuseModel(ModelConfig(), seed=0).params
+        assert (len(params), sum(p.size for p in params.values())) == (173, 557_828)
+        assert not [name for name in params if name.endswith(".wk.b")]
+
+    def test_every_parameter_gets_a_gradient(self):
+        # a parameter that cannot change the loss reads only rounding (a key
+        # bias read up to 2.3e-16 here); the smallest live one reads 6.6e-3
+        from alignfuse.losses import LossWeights
+        from alignfuse.train import Example, batch_loss, collate
+
+        cfg = tiny_config()
+        model = AlignFuseModel(cfg, seed=0)
+        batch = collate([Example(*tiny_inputs(cfg, seed=s), label=s) for s in (1, 2)])
+        batch_loss(model, batch, LossWeights(), RngStream(0)).total.backward()
+        largest = {name: 0.0 if p.grad is None else float(np.abs(p.grad).max())
+                   for name, p in model.params.items()}
+        assert {name: g for name, g in largest.items() if g <= 1e-9} == {}
+
+
 class TestFullModelGradient:
     def test_full_loss_finite_difference(self):
         from alignfuse.losses import LossWeights

@@ -13,12 +13,15 @@ from alignfuse.errors import (
 )
 from alignfuse.tensor import (
     LN_EPS,
+    NEG_MASK_BIAS,
     RngStream,
     Tensor,
+    attention,
     concat,
     cross_entropy,
     finite_diff_check,
     layer_norm,
+    linear,
     no_grad,
     softmax,
     unit_rows,
@@ -38,6 +41,53 @@ def layer_norm_composition(x, gamma, beta):
     var = (centered * centered).mean(axis=-1, keepdims=True)
     xhat = centered * (var + LN_EPS) ** -0.5
     return xhat * gamma + beta
+
+
+def linear_composition(x, w, b=None):
+    """`x @ w (+ b)` as the matmul and add nodes that the one-node `linear`
+    replaced: the oracle for its values and gradients."""
+    return x @ w if b is None else x @ w + b
+
+
+def attention_composition(q, k, v, n_heads, key_bias=None):
+    """Multi-head attention as the reshape, transpose, scale, matmul and
+    softmax nodes that the one-node `attention` replaced: the oracle for its
+    values and gradients."""
+    (b, n_q, d), n_kv = q.shape, k.shape[1]
+    dh = d // n_heads
+    qh = (q * (1.0 / math.sqrt(dh))).reshape(b, n_q, n_heads, dh).transpose(0, 2, 1, 3)
+    kt = k.reshape(b, n_kv, n_heads, dh).transpose(0, 2, 3, 1)
+    vh = v.reshape(b, n_kv, n_heads, dh).transpose(0, 2, 1, 3)
+    att = softmax(qh @ kt if key_bias is None else qh @ kt + key_bias, axis=-1)
+    return (att @ vh).transpose(0, 2, 1, 3).reshape(b, n_q, d)
+
+
+def pad_bias(real: np.ndarray) -> np.ndarray:
+    """(B, 1, 1, N) key bias from a (B, N) mask of real keys."""
+    return np.where(real, 0.0, NEG_MASK_BIAS)[:, None, None, :]
+
+
+def node_and_oracle_grads(node, oracle, inputs, w):
+    """[(output, *input grads)] of `node` then `oracle`, each applied to
+    `inputs` under the loss sum(output * w)."""
+    runs = []
+    for f in (node, oracle):
+        out = f(*inputs)
+        (out * w).sum().backward()
+        runs.append((out.data, *(t.grad for t in inputs)))
+        for t in inputs:
+            t.grad = None
+    return runs
+
+
+def assert_matches_oracle(runs):
+    """Outputs within 1e-12; gradients within 1e-9 of the oracle's largest
+    entry, floored at 1e-12 for a gradient that is 0 in exact arithmetic
+    (q and k with one key), which the node's row dot dO·O leaves at 1e-17."""
+    (got_out, *got), (want_out, *want) = runs
+    np.testing.assert_allclose(got_out, want_out, rtol=0, atol=1e-12)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=max(1e-9 * np.abs(w).max(), 1e-12))
 
 
 class TestMatmul:
@@ -178,6 +228,109 @@ class TestLayerNorm:
         wg = w * np.sign(layer_norm(x, Tensor(np.ones(n)), Tensor(np.zeros(n))).data)
         assert finite_diff_check(lambda t: (layer_norm(x, t, b) * wg).sum(), g) < 1e-6
         assert finite_diff_check(lambda t: (layer_norm(x, g, t) * w).sum(), b) < 1e-6
+
+
+class TestLinear:
+    def test_is_one_node(self):
+        x, w, b = (rand_tensor(shape, seed=s) for s, shape in enumerate([(2, 3, 4), (4, 5), (5,)]))
+        assert linear(x, w, b)._prev == (x, w, b)
+        assert linear(x, w)._prev == (x, w)
+
+    @pytest.mark.parametrize("shapes", [[(3, 4), (5, 2), (2,)], [(3, 4), (4,), None],
+                                        [(3, 4), (4, 2), (3,)]])
+    def test_mismatched_shapes(self, shapes):
+        x, w, b = (None if s is None else rand_tensor(s) for s in shapes)
+        with pytest.raises(DimensionError):
+            linear(x, w, b)
+
+    def test_finite_differences(self):
+        x, w, b = (rand_tensor(shape, seed=s) for s, shape in enumerate([(2, 3, 4), (4, 5), (5,)]))
+        c = rand_tensor((2, 3, 5), seed=3, requires_grad=False)
+        assert finite_diff_check(lambda t: (linear(t, w, b) * c).sum(), x) < 1e-6
+        assert finite_diff_check(lambda t: (linear(x, t, b) * c).sum(), w) < 1e-6
+        assert finite_diff_check(lambda t: (linear(x, w, t) * c).sum(), b) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=3), d_in=st.integers(1, 6),
+           d_out=st.integers(1, 6), bias=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_composition(self, lead, d_in, d_out, bias, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [Tensor(rng.normal(size=shape), requires_grad=True)
+                  for shape in [(*lead, d_in), (d_in, d_out), (d_out,)][:3 if bias else 2]]
+        w = rng.uniform(0.5, 1.5, size=(*lead, d_out))
+        assert_matches_oracle(node_and_oracle_grads(linear, linear_composition, inputs, w))
+
+
+class TestAttention:
+    def test_is_one_node(self):
+        q, k, v = (rand_tensor(shape, seed=s) for s, shape in enumerate([(2, 3, 4), (2, 5, 4),
+                                                                           (2, 5, 4)]))
+        assert attention(q, k, v, 2)._prev == (q, k, v)
+
+    @pytest.mark.parametrize("shapes,n_heads", [
+        ([(2, 3, 4), (2, 5, 4), (2, 5, 4)], 3),
+        ([(2, 3, 4), (2, 5, 4), (2, 4, 4)], 2),
+        ([(2, 3, 4), (1, 5, 4), (1, 5, 4)], 2),
+        ([(2, 3, 4), (2, 5, 6), (2, 5, 6)], 2)])
+    def test_mismatched_shapes(self, shapes, n_heads):
+        q, k, v = (rand_tensor(s) for s in shapes)
+        with pytest.raises(DimensionError):
+            attention(q, k, v, n_heads)
+
+    def test_records_probabilities_with_pad_keys_at_zero(self):
+        q, k, v = (rand_tensor((2, 5, 4), seed=s) for s in range(3))
+        real = np.array([[True] * 5, [True, True, False, True, False]])
+        rec = []
+        attention(q, k, v, 2, pad_bias(real), rec)
+        (probs,) = rec
+        assert probs.shape == (2, 2, 5, 5)
+        assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9)
+        assert np.all(probs[1][:, :, ~real[1]] == 0.0)
+
+    def test_backward_writes_into_no_input(self):
+        # with one head the per-head arrays are views of q, k and v
+        q, k, v = (rand_tensor((2, 4, 3), seed=s) for s in range(3))
+        rec = []
+        out = attention(q, k, v, 1, record=rec)
+        probs = rec[0].copy()
+        g = rand_tensor(out.shape, seed=4, requires_grad=False).data
+        for a in (q.data, k.data, v.data, g, rec[0]):
+            a.flags.writeable = False
+        out._backward(g)
+        assert np.array_equal(rec[0], probs)
+
+    def test_finite_differences(self):
+        q, k, v = (rand_tensor((2, 3, 4), seed=s) for s in range(3))
+        bias = pad_bias(np.array([[True, True, True], [True, False, True]]))
+        c = rand_tensor((2, 3, 4), seed=3, requires_grad=False)
+        assert finite_diff_check(lambda t: (attention(t, k, v, 2, bias) * c).sum(), q) < 1e-6
+        assert finite_diff_check(lambda t: (attention(q, t, v, 2, bias) * c).sum(), k) < 1e-6
+        assert finite_diff_check(lambda t: (attention(q, k, t, 2, bias) * c).sum(), v) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.integers(1, 3), n_q=st.integers(1, 5), n_kv=st.integers(1, 5),
+           n_heads=st.integers(1, 3), dh=st.integers(1, 4), pads=st.booleans(),
+           shared=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_composition(self, b, n_q, n_kv, n_heads, dh, pads, shared, seed):
+        rng = np.random.default_rng(seed)
+        d = n_heads * dh
+        if shared:  # self-attention: one tensor is queries, keys and values
+            n_kv = n_q
+            inputs = [Tensor(rng.normal(size=(b, n_q, d)), requires_grad=True)]
+            node = lambda x: attention(x, x, x, n_heads, bias)
+            oracle = lambda x: attention_composition(x, x, x, n_heads, bias)
+        else:
+            inputs = [Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+                      for n in (n_q, n_kv, n_kv)]
+            node = lambda q, k, v: attention(q, k, v, n_heads, bias)
+            oracle = lambda q, k, v: attention_composition(q, k, v, n_heads, bias)
+        bias = None
+        if pads:  # key 0 stays real, as [CLS] does
+            real = rng.random((b, n_kv)) < 0.6
+            real[:, 0] = True
+            bias = pad_bias(real)
+        w = rng.uniform(0.5, 1.5, size=(b, n_q, d))
+        assert_matches_oracle(node_and_oracle_grads(node, oracle, inputs, w))
 
 
 class TestCrossEntropy:

@@ -297,7 +297,8 @@ class TestTrainSteps:
 
     def test_graph_size_is_pinned(self):
         # tensors reachable from one tiny batch's loss, parameters included;
-        # any change in an op's node count moves it (a layer norm is one node)
+        # any change in an op's node count moves it (a layer norm, a linear map
+        # and an attention are one node each)
         model, _, examples = tiny_setup()
         total = batch_loss(model, collate(examples), LossWeights(), RngStream(0)).total
         seen, stack = set(), [total]
@@ -306,7 +307,7 @@ class TestTrainSteps:
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._prev)
-        assert len(seen) == 383
+        assert len(seen) == 240
 
 
 class TestCheckpointing:
@@ -401,6 +402,38 @@ class TestCheckpointing:
         ckpt.save_checkpoint(path, payload, params, state)
         with pytest.raises(CheckpointError, match=blob):
             load_model_checkpoint(path)
+
+    @pytest.mark.parametrize("t", [2.5, -3.0])
+    def test_step_counter_that_is_not_a_non_negative_integer(self, tmp_path, t):
+        model, vocab, _ = tiny_setup(n=4)
+        path = tmp_path / "m.ckpt"
+        save_model_checkpoint(path, model, vocab, AdamW(model.params, TrainConfig()))
+        payload, params, state = ckpt.load_checkpoint(path)
+        ckpt.save_checkpoint(path, payload, params, {**state, "t": np.array(t)})
+        with pytest.raises(CheckpointError, match=f"t={t!r}"):
+            load_model_checkpoint(path, TrainConfig())
+
+    def test_key_bias_blobs_of_older_checkpoints_are_ignored(self, tmp_path):
+        # older checkpoints hold a key-projection bias and its moments, which
+        # cannot change any output: any stored value loads as if absent
+        model, vocab, examples = tiny_setup(n=4)
+        cfg = TrainConfig(batch_size=4, steps=2, seed=0)
+        optim = AdamW(model.params, cfg)
+        train_steps(model, optim, examples, cfg)
+        new, old = tmp_path / "new.ckpt", tmp_path / "old.ckpt"
+        save_model_checkpoint(new, model, vocab, optim)
+        payload, params, state = ckpt.load_checkpoint(new)
+        rng = np.random.default_rng(0)
+        biases = [n[:-len(".w")] + ".b" for n in params if n.endswith(".wk.w")]
+        assert len(biases) == 6
+        for name in biases:
+            params[name] = rng.normal(size=8)
+            state[f"{name}.m"], state[f"{name}.v"] = rng.normal(size=8), rng.uniform(size=8)
+        ckpt.save_checkpoint(old, payload, params, state)
+        (m_new, _, o_new), (m_old, _, o_old) = (load_model_checkpoint(p, cfg) for p in (new, old))
+        assert params_digest(m_old) == params_digest(m_new)
+        assert o_old.t == o_new.t and o_old.m.keys() == o_new.m.keys()
+        assert evaluate(m_old, examples).to_dict() == evaluate(m_new, examples).to_dict()
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         # 6 steps straight through
