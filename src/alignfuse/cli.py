@@ -217,6 +217,8 @@ def cmd_eval(args) -> int:
 
 def cmd_export(args) -> int:
     model, vocab, _ = load_model_checkpoint(Path(args.checkpoint))
+    if args.what == "attention":
+        model.require_self_attention()
     examples = prepare_examples(load_dataset(Path(args.dataset)), vocab, model.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

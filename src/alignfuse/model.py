@@ -188,12 +188,16 @@ class AlignFuseModel:
 
     def _block(self, x: Tensor, name: str, bias: np.ndarray | None,
                ctx: Tensor | None = None, ctx_bias: np.ndarray | None = None,
-               record: list | None = None) -> Tensor:
+               record: list | None = None, cls_only: bool = False) -> Tensor:
         """One pre-norm block on (B, N, d) rows: self-attention, then (with
         `ctx`) cross-attention into ctx through the `<m>.ca.<i>` weights of
-        block `<m>.enc.<i>`, then FFN, each with a residual."""
-        h = self._ln(f"{name}.ln1", x)
-        x = x + self._attention(f"{name}.sa", h, h, bias, record)
+        block `<m>.enc.<i>`, then FFN, each with a residual. With `cls_only`
+        only row 0 queries and comes out, (B, 1, d); keys and values still
+        span every row."""
+        h = q = self._ln(f"{name}.ln1", x)
+        if cls_only:
+            x, q = x[:, :1], h[:, :1]
+        x = x + self._attention(f"{name}.sa", q, h, bias, record)
         if ctx is not None:
             ca = name.replace(".enc.", ".ca.")
             x = x + self._attention(ca, self._ln(f"{ca}.ln", x), ctx, ctx_bias)
@@ -251,13 +255,26 @@ class AlignFuseModel:
     # -- encoders / decoders ---------------------------------------------------
 
     def encode_unimodal(self, h: Tensor, modality: str,
-                        pad_mask: np.ndarray | None = None,
-                        record_attn: list | None = None) -> Tensor:
+                        pad_mask: np.ndarray | None = None) -> Tensor:
         """Pre-norm SA + FFN stack on (B, N, d); pads excluded as keys."""
         bias = _attn_bias(pad_mask)
         for i in range(self.config.n_enc_layers):
-            h = self._block(h, f"{modality}.enc.{i}", bias, record=record_attn)
+            h = self._block(h, f"{modality}.enc.{i}", bias)
         return h
+
+    def encode_cls(self, h: Tensor, modality: str, pad_mask: np.ndarray | None = None,
+                   record: list | None = None) -> Tensor:
+        """Row 0 of `encode_unimodal`, (B, d). Only the [CLS] row of the last
+        block's output is read, so that block runs the [CLS] query alone (the
+        class-attention layer of CaiT, Touvron et al., 2021). `record`
+        receives that block's (B, h, 1, N) attention."""
+        bias = _attn_bias(pad_mask)
+        n = self.config.n_enc_layers
+        for i in range(n - 1):
+            h = self._block(h, f"{modality}.enc.{i}", bias)
+        if n:
+            h = self._block(h, f"{modality}.enc.{n - 1}", bias, record=record, cls_only=True)
+        return h[:, 0]
 
     def encode_grounded(self, h_masked: Tensor, z_other: Tensor, modality: str,
                         pad_mask: np.ndarray | None = None,
@@ -342,10 +359,15 @@ class AlignFuseModel:
     def classify(self, batch: Batch) -> tuple[Tensor, Tensor, Tensor]:
         """Deterministic inference path: no masking. Returns
         (class_logits, z_image_cls, z_text_cls), one row per record."""
-        z_img = self.encode_unimodal(self.embed_image(batch.patches), "img")
-        z_txt = self.encode_unimodal(self.embed_text(batch.ids), "txt",
-                                     pad_mask=batch.pad_mask)
-        return self.fuse_classify(z_img[:, 0], z_txt[:, 0]), z_img[:, 0], z_txt[:, 0]
+        z_img = self.encode_cls(self.embed_image(batch.patches), "img")
+        z_txt = self.encode_cls(self.embed_text(batch.ids), "txt", pad_mask=batch.pad_mask)
+        return self.fuse_classify(z_img, z_txt), z_img, z_txt
+
+    def require_self_attention(self) -> None:
+        """Raises ConfigError when there is no encoder block to map."""
+        if self.config.n_enc_layers == 0:
+            raise ConfigError("attention maps need n_enc_layers >= 1: a model with no "
+                              "encoder block has no self-attention to map")
 
     def attention_maps(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
         """[CLS]-query self-attention of the last unimodal encoder block,
@@ -354,17 +376,19 @@ class AlignFuseModel:
 
         Returns ((B, g, g, g) image heat on the (S/p)^3 grid, (B, L_max) text
         weights with zeros at [CLS] and pads). A record with no token but
-        [CLS] puts all its text weight on [CLS]."""
+        [CLS] puts all its text weight on [CLS]. Raises ConfigError when
+        there is no encoder block."""
+        self.require_self_attention()
         g = self.config.grid_side
         rec_img: list = []
         rec_txt: list = []
-        self.encode_unimodal(self.embed_image(batch.patches), "img", record_attn=rec_img)
-        self.encode_unimodal(self.embed_text(batch.ids), "txt", pad_mask=batch.pad_mask,
-                             record_attn=rec_txt)
-        img = rec_img[-1][:, :, 0, 1:].mean(axis=1)  # drop [CLS] key
+        self.encode_cls(self.embed_image(batch.patches), "img", record=rec_img)
+        self.encode_cls(self.embed_text(batch.ids), "txt", pad_mask=batch.pad_mask,
+                        record=rec_txt)
+        img = rec_img[0][:, :, 0, 1:].mean(axis=1)  # drop [CLS] key
         txt = np.zeros((len(batch.ids), self.config.l_max))
         # pad keys already hold exactly 0: the -1e30 bias underflows in exp
-        txt[:, 1:batch.ids.shape[1]] = rec_txt[-1][:, :, 0, 1:].mean(axis=1)
+        txt[:, 1:batch.ids.shape[1]] = rec_txt[0][:, :, 0, 1:].mean(axis=1)
         txt[txt.sum(axis=1) == 0, 0] = 1.0
         return ((img / img.sum(axis=1, keepdims=True)).reshape(-1, g, g, g),
                 txt / txt.sum(axis=1, keepdims=True))

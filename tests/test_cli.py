@@ -460,6 +460,25 @@ class TestExport:
             assert np.allclose(r["image_heat"], heat, rtol=0.0, atol=1e-12)
             assert np.allclose(r["text_weights"], txt, rtol=0.0, atol=1e-12)
 
+    def test_attention_of_a_model_without_encoder_blocks_exits_1(self, trained, tmp_path,
+                                                                  capsys):
+        ds, _, _ = trained
+        cfg = {"model": {**TINY_CFG["model"], "n_enc_layers": 0},
+               "train": {**TINY_CFG["train"], "steps": 0}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(ds), "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(run)]) == EXIT_OK
+        args = ["export", "--dataset", str(ds), "--checkpoint", str(run / "final.ckpt")]
+        capsys.readouterr()
+        assert main(args + ["--what", "attention", "--out", str(tmp_path / "att")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_enc_layers" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "att").exists()
+        # the [CLS] rows need no block: embeddings still export
+        assert main(args + ["--what", "embeddings", "--out", str(tmp_path / "emb")]) == EXIT_OK
+
     def test_invalid_what_flag(self, trained, tmp_path):
         ds, run, _ = trained
         rc = main(["export", "--dataset", str(ds), "--checkpoint",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alignfuse.data import (
     CLS_ID,
@@ -11,8 +13,8 @@ from alignfuse.data import (
     tokenize,
 )
 from alignfuse.errors import ConfigError, ContractError, DimensionError, VocabError
-from alignfuse.model import AlignFuseModel, ModelConfig
-from alignfuse.tensor import RngStream, Tensor, finite_diff_check
+from alignfuse.model import FFN_MULT, AlignFuseModel, ModelConfig
+from alignfuse.tensor import NEG_MASK_BIAS, RngStream, Tensor, finite_diff_check
 
 
 def tiny_config(**kw):
@@ -38,6 +40,17 @@ def tiny_inputs(cfg, seed=0):
 
 def one_batch(patches, toks):
     return Batch.stack([patches], [toks])
+
+
+def full_encoder(model, h, modality, pad_mask=None):
+    """Oracle of the [CLS]-only inference path: every unimodal block on every
+    row. Returns the (B, N, d) output and each block's recorded (B, h, N, N)
+    attention probabilities."""
+    bias = None if pad_mask is None else np.where(pad_mask, 0.0, NEG_MASK_BIAS)[:, None, None, :]
+    rec = []
+    for i in range(model.config.n_enc_layers):
+        h = model._block(h, f"{modality}.enc.{i}", bias, record=rec)
+    return h, rec
 
 
 class TestModelConfig:
@@ -218,9 +231,8 @@ class TestEncoders:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         _, toks = tiny_inputs(cfg)
-        rec = []
-        model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
-                              pad_mask=toks.pad_mask[None], record_attn=rec)
+        _, rec = full_encoder(model, model.embed_text(toks.ids[None]), "txt",
+                              pad_mask=toks.pad_mask[None])
         for att in rec:
             assert np.allclose(att.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -228,9 +240,8 @@ class TestEncoders:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         _, toks = tiny_inputs(cfg)
-        rec = []
-        model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
-                              pad_mask=toks.pad_mask[None], record_attn=rec)
+        _, rec = full_encoder(model, model.embed_text(toks.ids[None]), "txt",
+                              pad_mask=toks.pad_mask[None])
         for att in rec:
             assert np.all(att[0][:, :, ~toks.pad_mask] == 0.0)
 
@@ -549,9 +560,7 @@ class TestAttentionMap:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
-        rec = []
-        model.encode_unimodal(model.embed_image(patches.patches[None]), "img",
-                              record_attn=rec)
+        _, rec = full_encoder(model, model.embed_image(patches.patches[None]), "img")
         row = rec[-1][0, :, 0, 1:].mean(axis=0)
         heat, _ = model.extract_attention_map(patches, toks)
         assert np.allclose(heat.reshape(-1), row / row.sum())
@@ -565,13 +574,11 @@ class TestAttentionMap:
         assert txt[0] == 0.0 and np.all(txt[5:] == 0.0)
         assert np.all(txt[1:5] > 0.0) and np.isclose(txt.sum(), 1.0, atol=1e-12)
         # the same weights as the [CLS] row of the full-length encoding
-        rec = []
-        model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
-                              pad_mask=toks.pad_mask[None], record_attn=rec)
+        _, rec = full_encoder(model, model.embed_text(toks.ids[None]), "txt",
+                              pad_mask=toks.pad_mask[None])
         row = rec[-1][0, :, 0, :].mean(axis=0)
         row[0] = 0.0
         assert np.allclose(txt, row / row.sum(), rtol=0.0, atol=1e-12)
-
 
     def test_batch_rows_match_single_records(self):
         cfg = tiny_config(l_max=12)
@@ -588,6 +595,76 @@ class TestAttentionMap:
         assert np.array_equal(txt[0], np.eye(cfg.l_max)[0])
         assert txt[1, 0] == 0.0 and txt[2, 0] == 0.0
         assert np.all(txt[1, 8:] == 0.0) and np.all(txt[2, 5:] == 0.0)
+
+
+class TestClsOnlyInference:
+    """`classify` and `attention_maps` run the last unimodal block for the
+    [CLS] query alone; the oracle runs every block on every row."""
+
+    @staticmethod
+    def _model_and_batch(n_layers, n_heads, lengths, seed):
+        cfg = tiny_config(d_model=12, n_heads=n_heads, n_enc_layers=n_layers, l_max=8)
+        return AlignFuseModel(cfg, seed=seed), Batch.stack(*ragged_batch(cfg, lengths))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_layers=st.integers(0, 3), n_heads=st.integers(1, 4),
+           lengths=st.lists(st.integers(1, 8), min_size=1, max_size=5), seed=st.integers(0, 3))
+    @example(n_layers=2, n_heads=3, lengths=[8, 1, 4], seed=0)
+    @example(n_layers=0, n_heads=1, lengths=[1], seed=1)
+    def test_classify_equals_full_encoder_row_zero(self, n_layers, n_heads, lengths, seed):
+        model, batch = self._model_and_batch(n_layers, n_heads, lengths, seed)
+        z_img, _ = full_encoder(model, model.embed_image(batch.patches), "img")
+        z_txt, _ = full_encoder(model, model.embed_text(batch.ids), "txt", batch.pad_mask)
+        expected = (model.fuse_classify(z_img[:, 0], z_txt[:, 0]), z_img[:, 0], z_txt[:, 0])
+        for got, want in zip(model.classify(batch), expected):
+            assert got.shape == want.shape
+            assert np.allclose(got.data, want.data, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_layers=st.integers(1, 3), n_heads=st.integers(1, 4),
+           lengths=st.lists(st.integers(1, 8), min_size=1, max_size=5), seed=st.integers(0, 3))
+    @example(n_layers=3, n_heads=4, lengths=[1, 6, 8, 2, 1], seed=2)
+    def test_attention_maps_equal_full_recorded_cls_row(self, n_layers, n_heads, lengths, seed):
+        model, batch = self._model_and_batch(n_layers, n_heads, lengths, seed)
+        _, rec_img = full_encoder(model, model.embed_image(batch.patches), "img")
+        _, rec_txt = full_encoder(model, model.embed_text(batch.ids), "txt", batch.pad_mask)
+        img = rec_img[-1][:, :, 0, 1:].mean(axis=1)
+        txt = np.zeros((len(lengths), model.config.l_max))
+        txt[:, :batch.ids.shape[1]] = rec_txt[-1][:, :, 0].mean(axis=1)
+        txt[:, 0] = 0.0
+        txt[txt.sum(axis=1) == 0, 0] = 1.0
+        heat, txt_w = model.attention_maps(batch)
+        g = model.config.grid_side
+        assert np.allclose(heat, (img / img.sum(axis=1, keepdims=True)).reshape(-1, g, g, g),
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(txt_w, txt / txt.sum(axis=1, keepdims=True), rtol=0.0, atol=1e-12)
+
+    def test_last_block_ffn_runs_one_row_per_record(self):
+        cfg = tiny_config(n_enc_layers=2, l_max=12)
+        model = AlignFuseModel(cfg, seed=0)
+        batch = Batch.stack(*ragged_batch(cfg, [3, 8, 5]))
+        f = FFN_MULT * cfg.d_model
+        seen, hidden, stack = set(), [], [model.classify(batch)[0]]  # grad enabled: a graph
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                stack.extend(t._prev)
+                if t.data.ndim == 3 and t.data.shape[-1] == f:
+                    hidden.append(t.data.shape)
+        # the l1 and GELU outputs: block 0 on every row, block 1 on [CLS] alone
+        n_img, n_txt = cfg.n_patches + 1, batch.ids.shape[1]
+        assert sorted(hidden) == sorted(2 * [(3, n_img, f)] + 2 * [(3, n_txt, f)]
+                                        + 4 * [(3, 1, f)])
+
+    def test_no_encoder_block_has_no_attention_map(self):
+        cfg = tiny_config(n_enc_layers=0)
+        model = AlignFuseModel(cfg, seed=0)
+        patches, toks = tiny_inputs(cfg)
+        with pytest.raises(ConfigError, match="n_enc_layers"):
+            model.attention_maps(one_batch(patches, toks))
+        with pytest.raises(ConfigError, match="n_enc_layers"):
+            model.extract_attention_map(patches, toks)
 
 
 class TestParameters:
