@@ -89,8 +89,8 @@ def load_run_config(config_path: str | None,
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         try:
-            raw = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
+            raw = json.loads(p.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"config file {p} is not valid JSON: {e}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {p} must contain a JSON object")

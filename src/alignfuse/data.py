@@ -380,13 +380,13 @@ def load_dataset(manifest_path: Path) -> list[PatientRecord]:
         manifest_path = manifest_path / "manifest.jsonl"
     root = manifest_path.parent.resolve()
     records = []
-    with open(manifest_path) as fh:
+    with open(manifest_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                obj = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise DataFormatError(
                     f"{manifest_path}: malformed manifest line {lineno}: {exc}") from exc
             where = f"{manifest_path}: manifest line {lineno}"
@@ -398,7 +398,9 @@ def load_dataset(manifest_path: Path) -> list[PatientRecord]:
             label, volume = obj["label"], obj["volume"]
             if not isinstance(label, int) or isinstance(label, bool) or label < 0:
                 raise DataFormatError(f"{where}: label {label!r} is not a non-negative integer")
-            if not isinstance(volume, str) or not (root / volume).resolve().is_relative_to(root):
+            # resolve() raises ValueError on a NUL
+            if (not isinstance(volume, str) or "\0" in volume
+                    or not (root / volume).resolve().is_relative_to(root)):
                 raise DataFormatError(f"{where}: volume {volume!r} is not a path inside {root}")
             demographics = obj.get("demographics") or {}
             lab_results = obj.get("lab_results") or {}

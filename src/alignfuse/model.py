@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Batch, PatchGrid, TokenSequence, validate_ids
-from .errors import ConfigError, ContractError, DimensionError, check_fields
+from .errors import ConfigError, DimensionError, check_fields
 from .tensor import (
     LN_EPS,
     NEG_MASK_BIAS,
@@ -226,19 +226,16 @@ class AlignFuseModel:
     # -- masking --------------------------------------------------------------
 
     def apply_mask(self, h: Tensor, modality: str, rngs: list[RngStream],
-                   maskable: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                   pad_mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
         """In each row b of (B, N, d) `h`, replace floor(mask_ratio * n_b) of
         its n_b maskable positions, drawn with rngs[b], by the modality's mask
-        embedding (position embedding retained). `maskable` is a (B, N)
-        bool matrix, by default every position but 0; position 0 ([CLS]) is
-        never maskable. Returns the masked tensor and the (B, N) bool matrix
-        of replaced positions."""
+        embedding (position embedding retained). A position is maskable when
+        it is real (every position when `pad_mask` is None) and not [CLS].
+        Returns the masked tensor and the (B, N) bool matrix of replaced
+        positions."""
         b, n = h.shape[0], h.shape[1]
-        if maskable is None:
-            maskable = np.ones((b, n), dtype=bool)
-            maskable[:, 0] = False
-        if maskable[:, 0].any():
-            raise ContractError("[CLS] position is not maskable")
+        maskable = np.ones((b, n), dtype=bool) if pad_mask is None else pad_mask.copy()
+        maskable[:, 0] = False
         chosen = np.zeros((b, n), dtype=bool)
         for row, rng in enumerate(rngs):
             candidates = np.flatnonzero(maskable[row])
@@ -248,7 +245,7 @@ class AlignFuseModel:
         if not chosen.any():
             return h, chosen
         keep = (~chosen)[:, :, None].astype(np.float64)
-        pe = self.params["img.pe" if modality == "img" else "txt.pe"][:n]
+        pe = self.params[f"{modality}.pe"][:n]
         replacement = self.params[f"{modality}.mask"] + pe
         return h * keep + replacement * (1.0 - keep), chosen
 
@@ -289,17 +286,13 @@ class AlignFuseModel:
 
     def decode_modality(self, z_grounded: Tensor, modality: str,
                         pad_mask: np.ndarray | None = None) -> Tensor:
-        """SA + FFN decoder stack and linear head.
-
-        Image: the [CLS] row is dropped, giving a (B, P, V) reconstruction.
-        Text: all rows are kept so logits row j matches sequence position j
-        (row 0 is never a reconstruction target).
-        """
+        """SA + FFN decoder stack and linear head on every row: output row j
+        reconstructs sequence position j. Row 0 ([CLS]) is never a
+        reconstruction target."""
         bias = _attn_bias(pad_mask)
         for i in range(self.config.n_dec_layers):
             z_grounded = self._block(z_grounded, f"{modality}.dec.{i}", bias)
-        out = self._linear(f"{modality}.dec.head", z_grounded)
-        return out[:, 1:] if modality == "img" else out
+        return self._linear(f"{modality}.dec.head", z_grounded)
 
     # -- fusion ---------------------------------------------------------------
 
@@ -338,10 +331,8 @@ class AlignFuseModel:
         rows = [rng.child(j) for j in range(len(pad))]
         h_img_masked, img_masked = self.apply_mask(
             h_img, "img", [r.child(0) for r in rows])
-        txt_maskable = pad.copy()
-        txt_maskable[:, 0] = False
         h_txt_masked, txt_masked = self.apply_mask(
-            h_txt, "txt", [r.child(1) for r in rows], maskable=txt_maskable)
+            h_txt, "txt", [r.child(1) for r in rows], pad_mask=pad)
 
         zg_img = self.encode_grounded(h_img_masked, z_txt, "img",
                                       other_pad_mask=pad)
@@ -350,9 +341,10 @@ class AlignFuseModel:
         return ForwardOutputs(
             z_image_cls=z_img_cls, z_text_cls=z_txt_cls,
             class_logits=class_logits,
-            recon_image=self.decode_modality(zg_img, "img"),
+            # sequence row i is patch i-1
+            recon_image=self.decode_modality(zg_img, "img")[:, 1:],
+            masked_patches=img_masked[:, 1:],
             recon_text_logits=self.decode_modality(zg_txt, "txt", pad_mask=pad),
-            masked_patches=img_masked[:, 1:],  # sequence row i is patch i-1
             masked_tokens=txt_masked,
         )
 

@@ -385,20 +385,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max-subtraction) along `axis`."""
-    a = x
-    # in place: one array of x's size per pass instead of three
-    out_data = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=axis, keepdims=True)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    p = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        grad = g * out_data
-        dot = grad.sum(axis=axis, keepdims=True)
-        np.subtract(g, dot, out=grad)
-        grad *= out_data
-        a._accum(grad)
+        x._accum((g - (g * p).sum(axis=axis, keepdims=True)) * p)
 
-    return Tensor._result(out_data, (a,), backward)
+    return Tensor._result(p, (x,), backward)
 
 
 def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:

@@ -254,13 +254,8 @@ class EvalReport:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "per_class_counts": {str(k): v for k, v in self.per_class_counts.items()},
-            "modality_gap": self.modality_gap,
-            "n": self.n,
-        }
+        return {**asdict(self),
+                "per_class_counts": {str(k): v for k, v in self.per_class_counts.items()}}
 
 
 def predict(model: AlignFuseModel,

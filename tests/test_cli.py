@@ -130,6 +130,15 @@ class TestTrain:
         entries = (run_a / "metrics.jsonl").read_text().splitlines()
         assert entries == []
 
+    def test_non_utf8_config_is_a_config_error(self, trained, tmp_path, capsys):
+        ds, _, _ = trained
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff" + json.dumps(TINY_CFG).encode())
+        assert main(["train", "--dataset", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == EXIT_USAGE
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_seed_flag_overrides_the_config_seed(self, trained, tmp_path):
         ds, _, _ = trained
         cfg = tmp_path / "cfg.json"
@@ -516,6 +525,7 @@ MALFORMED_FIRST_LINE = {
     "volume_outside_root": lambda rec: json.dumps(
         {**rec, "volume": "../other/00001.vol"}),
     "demographics_not_an_object": lambda rec: json.dumps({**rec, "demographics": [1]}),
+    "volume_with_nul": lambda rec: json.dumps({**rec, "volume": "volumes/a\u0000b.vol"}),
 }
 
 
@@ -533,6 +543,9 @@ BAD_DATASET = {
     "volume_version_2": (lambda ds: edit_volume(
         ds, lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:]),
         "00001.vol: unsupported volume version 2"),
+    "non_utf8_manifest": (lambda ds: (ds / "manifest.jsonl").write_bytes(
+        b'{"x": "\xff", ' + (ds / "manifest.jsonl").read_bytes()[1:]),
+        "manifest line 1"),
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from alignfuse.data import (
     patchify,
     tokenize,
 )
-from alignfuse.errors import ConfigError, ContractError, DimensionError, VocabError
+from alignfuse.errors import ConfigError, DimensionError, VocabError
 from alignfuse.model import FFN_MULT, AlignFuseModel, ModelConfig
 from alignfuse.tensor import NEG_MASK_BIAS, RngStream, Tensor, finite_diff_check
 
@@ -212,10 +214,35 @@ class TestApplyMask:
         assert np.array_equal(np.flatnonzero(chosen[0]), self.mask(5)[1])
         assert np.array_equal(np.flatnonzero(chosen[1]), self.mask(6)[1])
 
-    def test_maskable_cls_is_a_contract_error(self):
-        with pytest.raises(ContractError):
-            self.model.apply_mask(self.h, "img", [RngStream(0)],
-                                  maskable=np.ones(self.h.shape[:2], dtype=bool))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+           n=st.integers(2, 12), padded=st.booleans(),
+           mask_ratio=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32))
+    @example(lengths=[12, 1, 5], n=12, padded=True, mask_ratio=0.99, seed=3)
+    @example(lengths=[1], n=2, padded=True, mask_ratio=0.5, seed=0)
+    def test_masks_real_non_cls_positions_row_by_row(self, lengths, n, padded, mask_ratio,
+                                                     seed):
+        model = AlignFuseModel(tiny_config(n_enc_layers=0, n_dec_layers=0, l_max=12,
+                                           mask_ratio=mask_ratio), seed=0)
+        b = len(lengths)
+        h = Tensor(np.random.Generator(np.random.PCG64(seed)).normal(size=(b, n, 8)))
+        pad = np.arange(n) < np.minimum(lengths, n)[:, None] if padded else None
+        real = np.ones((b, n), dtype=bool) if pad is None else pad
+
+        def streams():
+            return [RngStream(seed + row) for row in range(b)]
+
+        out, chosen = model.apply_mask(h, "txt", streams(), pad_mask=pad)
+        assert not (chosen & ~real).any() and not chosen[:, 0].any()
+        assert np.array_equal(chosen.sum(axis=1),
+                              [math.floor(mask_ratio * (r.sum() - 1)) for r in real])
+        for row, rng in enumerate(streams()):
+            alone = model.apply_mask(Tensor(h.data[row:row + 1]), "txt", [rng],
+                                     pad_mask=None if pad is None else pad[row:row + 1])[1]
+            assert np.array_equal(alone[0], chosen[row])
+        replacement = model.params["txt.mask"].data + model.params["txt.pe"].data[:n]
+        assert np.array_equal(out.data[chosen], np.broadcast_to(replacement, h.shape)[chosen])
+        assert np.array_equal(out.data[~chosen], h.data[~chosen])
 
 
 class TestEncoders:
@@ -334,7 +361,7 @@ class TestDecode:
         patches, toks = tiny_inputs(cfg)
         z = model.encode_unimodal(model.embed_image(patches.patches[None]), "img")
         out = model.decode_modality(z, "img")
-        assert out.shape == (1, cfg.n_patches, cfg.patch_voxels)
+        assert out.shape == (1, cfg.n_patches + 1, cfg.patch_voxels)
 
     def test_zero_blocks_is_linear_head(self):
         cfg = tiny_config(n_dec_layers=0)
@@ -344,7 +371,7 @@ class TestDecode:
         out = model.decode_modality(z, "img")
         w = model.params["img.dec.head.w"].data
         b = model.params["img.dec.head.b"].data
-        assert np.allclose(out.data[0], (z.data[0] @ w + b)[1:])
+        assert np.allclose(out.data[0], z.data[0] @ w + b)
 
     def test_text_logits_make_distributions(self):
         from alignfuse.tensor import softmax as sm
