@@ -61,19 +61,28 @@ def save_checkpoint(path: Path, config_payload: dict,
                     optim_state: dict[str, np.ndarray]) -> None:
     """`config_payload` is any JSON-serializable header (model config,
     vocab); `params` and `optim_state` are name -> float64 arrays. The step
-    counter is the optimizer state's `t` blob."""
+    counter is the optimizer state's `t` blob. The file is written beside
+    `path`, synced and renamed over it, so a failed save leaves the old one."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = json.dumps(config_payload, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for section in (params, optim_state):
-            fh.write(struct.pack("<I", len(section)))
-            for name in section:
-                _write_blob(fh, name, np.asarray(section[name], dtype=np.float64))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for section in (params, optim_state):
+                fh.write(struct.pack("<I", len(section)))
+                for name in section:
+                    _write_blob(fh, name, np.asarray(section[name], dtype=np.float64))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]:

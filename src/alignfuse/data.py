@@ -304,6 +304,8 @@ def generate_synthetic_dataset(n: int, n_classes: int = 3, side: int = 32,
         raise DataFormatError("n_classes must be 2 or 3")
     if side < 5:  # raw sides are jittered by up to 4 voxels
         raise DataFormatError("volume side must be >= 5")
+    if not 0.0 <= missing_rate <= 1.0:  # NaN fails both comparisons
+        raise DataFormatError(f"missing rate must lie in [0, 1], not {missing_rate}")
     root = RngStream(seed)
     records = []
     for i in range(n):

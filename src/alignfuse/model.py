@@ -102,70 +102,66 @@ def _attn_bias(pad_mask: np.ndarray | None) -> np.ndarray | None:
     return np.where(pad_mask, 0.0, NEG_MASK_BIAS)[:, None, None, :]
 
 
+def param_specs(config: ModelConfig, rng: RngStream):
+    """Yield (name, shape, draw) for every parameter in drawing order. Only
+    draw() draws or allocates; call it in yield order, since the maps of one
+    block share a stream."""
+    d, f = config.d_model, FFN_MULT * config.d_model
+
+    def normal(name, shape, tag):
+        return name, shape, lambda: rng.child(tag).truncated_normal(shape)
+
+    def linear(name, d_in, d_out, stream, bias=True):
+        std = math.sqrt(2.0 / (d_in + d_out))  # fan-scaled: 0.02 everywhere stalls small models
+        yield f"{name}.w", (d_in, d_out), lambda: stream.truncated_normal((d_in, d_out), std)
+        if bias:
+            yield f"{name}.b", (d_out,), lambda: np.zeros(d_out)
+
+    def ln(name):
+        yield f"{name}.g", (d,), lambda: np.ones(d)
+        yield f"{name}.b", (d,), lambda: np.zeros(d)
+
+    def attention(name, stream):
+        # no key bias: q·(k + b) adds the same q·b to every score of a query,
+        # which softmax over keys cancels
+        for proj in ("wq", "wk", "wv", "wo"):
+            yield from linear(f"{name}.{proj}", d, d, stream, bias=proj != "wk")
+
+    def block(name, stream):
+        yield from ln(f"{name}.ln1")
+        yield from attention(f"{name}.sa", stream)
+        yield from ln(f"{name}.ln2")
+        yield from linear(f"{name}.ffn.l1", d, f, stream)
+        yield from linear(f"{name}.ffn.l2", f, d, stream)
+
+    yield from linear("img.lp", config.patch_voxels, d, rng.child(1))
+    yield normal("img.pe", (config.n_patches + 1, d), 2)
+    yield normal("img.cls", (d,), 3)
+    yield normal("img.mask", (d,), 4)
+    yield normal("txt.emb", (config.vocab_size, d), 5)
+    yield normal("txt.pe", (config.l_max, d), 6)
+    yield normal("txt.mask", (d,), 7)
+    for m, base in (("img", 10), ("txt", 20)):
+        for i in range(config.n_enc_layers):
+            yield from block(f"{m}.enc.{i}", rng.child(base * 100 + i))
+            yield from ln(f"{m}.ca.{i}.ln")
+            yield from attention(f"{m}.ca.{i}", rng.child(base * 100 + 50 + i))
+        for i in range(config.n_dec_layers):
+            yield from block(f"{m}.dec.{i}", rng.child(base * 100 + 70 + i))
+    yield from linear("img.dec.head", d, config.patch_voxels, rng.child(31))
+    yield from linear("txt.dec.head", d, config.vocab_size, rng.child(32))
+    yield from linear("fusion.l1", 2 * d, d, rng.child(33))
+    yield from linear("fusion.l2", d, config.n_classes, rng.child(34))
+    yield "log_tau", (), lambda: np.array(math.log(0.07))
+
+
 class AlignFuseModel:
     """Config + parameter store + every forward-path operation."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        self.params: dict[str, Tensor] = {}
-        self._init_params(RngStream(seed))
-
-    # -- parameter construction ----------------------------------------------
-
-    def _add(self, name: str, data: np.ndarray) -> None:
-        self.params[name] = Tensor(data, requires_grad=True)
-
-    def _add_linear(self, name: str, d_in: int, d_out: int, rng: RngStream, bias=True) -> None:
-        # fan-scaled init: std 0.02 everywhere stalls small models
-        std = math.sqrt(2.0 / (d_in + d_out))
-        self._add(f"{name}.w", rng.truncated_normal((d_in, d_out), std=std))
-        if bias:
-            self._add(f"{name}.b", np.zeros(d_out))
-
-    def _add_ln(self, name: str, d: int) -> None:
-        self._add(f"{name}.g", np.ones(d))
-        self._add(f"{name}.b", np.zeros(d))
-
-    def _add_attention(self, name: str, rng: RngStream) -> None:
-        # no key bias: q·(k + b) adds the same q·b to every score of a query,
-        # which softmax over keys cancels
-        d = self.config.d_model
-        for proj in ("wq", "wk", "wv", "wo"):
-            self._add_linear(f"{name}.{proj}", d, d, rng, bias=proj != "wk")
-
-    def _add_block(self, name: str, rng: RngStream) -> None:
-        d, f = self.config.d_model, FFN_MULT * self.config.d_model
-        self._add_ln(f"{name}.ln1", d)
-        self._add_attention(f"{name}.sa", rng)
-        self._add_ln(f"{name}.ln2", d)
-        self._add_linear(f"{name}.ffn.l1", d, f, rng)
-        self._add_linear(f"{name}.ffn.l2", f, d, rng)
-
-    def _add_ca(self, name: str, rng: RngStream) -> None:
-        self._add_ln(f"{name}.ln", self.config.d_model)
-        self._add_attention(name, rng)
-
-    def _init_params(self, rng: RngStream) -> None:
-        cfg = self.config
-        d = cfg.d_model
-        self._add_linear("img.lp", cfg.patch_voxels, d, rng.child(1))
-        self._add("img.pe", rng.child(2).truncated_normal((cfg.n_patches + 1, d)))
-        self._add("img.cls", rng.child(3).truncated_normal((d,)))
-        self._add("img.mask", rng.child(4).truncated_normal((d,)))
-        self._add("txt.emb", rng.child(5).truncated_normal((cfg.vocab_size, d)))
-        self._add("txt.pe", rng.child(6).truncated_normal((cfg.l_max, d)))
-        self._add("txt.mask", rng.child(7).truncated_normal((d,)))
-        for m, base in (("img", 10), ("txt", 20)):
-            for i in range(cfg.n_enc_layers):
-                self._add_block(f"{m}.enc.{i}", rng.child(base * 100 + i))
-                self._add_ca(f"{m}.ca.{i}", rng.child(base * 100 + 50 + i))
-            for i in range(cfg.n_dec_layers):
-                self._add_block(f"{m}.dec.{i}", rng.child(base * 100 + 70 + i))
-        self._add_linear("img.dec.head", d, cfg.patch_voxels, rng.child(31))
-        self._add_linear("txt.dec.head", d, cfg.vocab_size, rng.child(32))
-        self._add_linear("fusion.l1", 2 * d, d, rng.child(33))
-        self._add_linear("fusion.l2", d, cfg.n_classes, rng.child(34))
-        self._add("log_tau", np.array(math.log(0.07)))
+        self.params = {name: Tensor(draw(), requires_grad=True)
+                       for name, _, draw in param_specs(config, RngStream(seed))}
 
     # -- primitives -----------------------------------------------------------
 

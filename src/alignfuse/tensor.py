@@ -512,10 +512,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
 def unit_rows(x: Tensor) -> Tensor:
     """L2-normalize each row of a 2-D tensor."""
-    norms = np.linalg.norm(x.data, axis=-1)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("zero-norm row cannot be unit-normalized")
     sq = (x * x).sum(axis=-1, keepdims=True)
+    if np.any(sq.data == 0.0):
+        raise DegenerateInputError("zero-norm row cannot be unit-normalized")
     return x * sq ** -0.5
 
 

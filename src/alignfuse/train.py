@@ -4,6 +4,7 @@ analytics, and checkpoint integration."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .losses import (
     text_recon_loss,
     total_loss,
 )
-from .model import AlignFuseModel, ModelConfig
+from .model import AlignFuseModel, ModelConfig, param_specs
 from .tensor import RngStream, Tensor, no_grad, softmax
 
 PREDICT_CHUNK = 4  # records per inference batch; larger ones raise peak memory
@@ -304,17 +305,23 @@ def save_model_checkpoint(path: Path, model: AlignFuseModel, vocab: Vocab,
 
 
 def _check_blobs(path: Path, section: str, blobs: dict[str, np.ndarray],
-                 shapes: dict[str, tuple]) -> None:
-    """CheckpointError naming the first blob of `section` that is missing,
-    unexpected, of another shape than `shapes` gives, or not finite."""
-    found = {name: blob.shape for name, blob in blobs.items()}
-    for name in sorted(found.keys() | shapes.keys()):
-        if found.get(name) != shapes.get(name):
-            raise CheckpointError(f"{path}: {section} blob {name!r} has shape "
-                                  f"{found.get(name, '(absent)')} in the checkpoint and "
-                                  f"{shapes.get(name, '(absent)')} in the model")
+                 expected: Iterable) -> dict[str, tuple]:
+    """Walks the (name, shape, ...) entries of `expected`, raising
+    CheckpointError at the first blob of `section` that is missing, of another
+    shape or not finite, then at one that nothing expects. Returns the shapes."""
+    shapes: dict[str, tuple] = {}
+    for name, shape, *_ in expected:
+        shapes[name] = shape
+        found = blobs[name].shape if name in blobs else "(absent)"
+        if found != shape:
+            raise CheckpointError(f"{path}: {section} blob {name!r} has shape {found} "
+                                  f"in the checkpoint and {shape} in the model")
         if not np.isfinite(blobs[name]).all():
             raise CheckpointError(f"{path}: {section} blob {name!r} is not finite")
+    # older checkpoints hold a key-projection bias, which softmax cancels
+    if extra := sorted(n for n in blobs.keys() - shapes.keys() if ".wk.b" not in n):
+        raise CheckpointError(f"{path}: {section} blob {extra[0]!r} is not in the model")
+    return shapes
 
 
 def load_model_checkpoint(path: Path, train_cfg: TrainConfig | None = None,
@@ -337,18 +344,14 @@ def load_model_checkpoint(path: Path, train_cfg: TrainConfig | None = None,
         repeated = next(t for i, t in enumerate(tokens) if tokens.index(t) < i)
         raise CheckpointError(f"{path}: vocab repeats the token {repeated!r}")
     vocab = Vocab(tokens=tokens)
-    model = AlignFuseModel(config, seed=0)
-    shapes = {name: p.data.shape for name, p in model.params.items()}
-    # older checkpoints hold a key-projection bias, which softmax cancels
-    params = {n: a for n, a in params.items() if not n.endswith(".wk.b")}
-    state = {n: a for n, a in state.items() if not n.endswith((".wk.b.m", ".wk.b.v"))}
-    _check_blobs(path, "parameter", params, shapes)
+    shapes = _check_blobs(path, "parameter", params, param_specs(config, RngStream(0)))
     if state:  # a checkpoint saved without an optimizer has no state
-        _check_blobs(path, "optimizer", state, {"t": (), **{
-            f"{name}.{k}": shape for name, shape in shapes.items() for k in "mv"}})
+        _check_blobs(path, "optimizer", state, [("t", ()), *(
+            (f"{name}.{k}", shape) for name, shape in shapes.items() for k in "mv")])
         if state["t"] < 0 or state["t"] != np.floor(state["t"]):
             raise CheckpointError(f"{path}: optimizer step t={float(state['t'])!r} "
                                   "is not a non-negative integer")
+    model = AlignFuseModel(config, seed=0)
     for name, p in model.params.items():
         p.data = params[name]
     optim = None

@@ -11,6 +11,8 @@ from alignfuse import checkpoint as ckpt
 from alignfuse import cli
 from alignfuse.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from alignfuse.data import load_dataset, read_volume, write_volume
+from alignfuse.errors import CheckpointError
+from alignfuse.tensor import RngStream
 from alignfuse.train import (PREDICT_CHUNK, load_model_checkpoint, modality_gap,
                              prepare_examples)
 
@@ -76,6 +78,14 @@ class TestSynth:
         assert main(["synth", "--n", "4", "--side", str(side),
                      "--out", str(out)]) == EXIT_DATA
         assert "side" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["1.5", "-0.1", "nan"])
+    def test_missing_rate_outside_unit_interval_exits_2(self, tmp_path, capsys, rate):
+        out = tmp_path / "ds"
+        assert main(["synth", "--n", "4", "--missing-rate", rate,
+                     "--out", str(out)]) == EXIT_DATA
+        assert "missing rate" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -387,6 +397,12 @@ BAD_CHECKPOINT = {
     "vocab_string": (lambda h, p, s: h.update({"vocab": "abc"}), "vocab"),
     "vocab_not_strings": (lambda h, p, s: h["vocab"].append(7), "vocab"),
     "vocab_without_reserved": (lambda h, p, s: h.update({"vocab": ["[PAD]"]}), "vocab"),
+    # sizes whose parameters could not be drawn: above the address space, and
+    # one encoder block more than the file holds
+    "l_max_beyond_memory": (lambda h, p, s: h["model_config"].update({"l_max": 10**15}),
+                            "txt.pe"),
+    "extra_encoder_block": (lambda h, p, s: h["model_config"].update(
+        {"n_enc_layers": h["model_config"]["n_enc_layers"] + 1}), "img.enc.1.ln1.g"),
 }
 
 
@@ -412,6 +428,19 @@ class TestBadCheckpoint:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert f"repeats the token {token!r}" in err and "Traceback" not in err
+
+    def test_header_is_checked_before_any_parameter_is_drawn(self, trained, tmp_path,
+                                                             monkeypatch):
+        # without the patch a model of 10**6 blocks would draw until memory runs out
+        def refuse(*args, **kwargs):
+            raise AssertionError("a parameter was drawn")
+
+        monkeypatch.setattr(RngStream, "truncated_normal", refuse)
+        _, run, _ = trained
+        bad = edit_checkpoint(run / "final.ckpt", tmp_path / "bad.ckpt",
+                              lambda h, p, s: h["model_config"].update({"n_enc_layers": 10**6}))
+        with pytest.raises(CheckpointError, match=r"img\.enc\.1\.ln1\.g"):
+            load_model_checkpoint(bad)
 
 
 class TestExport:

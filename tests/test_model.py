@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from alignfuse.data import (
     tokenize,
 )
 from alignfuse.errors import ConfigError, DimensionError, VocabError
-from alignfuse.model import FFN_MULT, AlignFuseModel, ModelConfig
+from alignfuse.model import FFN_MULT, AlignFuseModel, ModelConfig, param_specs
 from alignfuse.tensor import NEG_MASK_BIAS, RngStream, Tensor, finite_diff_check
 
 
@@ -713,6 +714,22 @@ class TestParameters:
         largest = {name: 0.0 if p.grad is None else float(np.abs(p.grad).max())
                    for name, p in model.params.items()}
         assert {name: g for name, g in largest.items() if g <= 1e-9} == {}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n_enc=st.integers(0, 3), n_dec=st.integers(0, 3), n_heads=st.integers(1, 2),
+           patch_size=st.integers(1, 3), grid_side=st.integers(1, 2),
+           vocab_size=st.integers(1, 9), l_max=st.integers(1, 6), n_classes=st.integers(1, 4))
+    def test_param_specs_walk_the_model_without_drawing(self, n_enc, n_dec, n_heads, patch_size,
+                                                         grid_side, vocab_size, l_max, n_classes):
+        cfg = ModelConfig(d_model=2 * n_heads, n_heads=n_heads, n_enc_layers=n_enc,
+                          n_dec_layers=n_dec, patch_size=patch_size,
+                          volume_side=patch_size * grid_side, vocab_size=vocab_size,
+                          l_max=l_max, n_classes=n_classes)
+        with mock.patch.object(RngStream, "truncated_normal",
+                               side_effect=AssertionError("a parameter was drawn")):
+            walked = [(name, shape) for name, shape, _ in param_specs(cfg, RngStream(0))]
+        params = AlignFuseModel(cfg, seed=0).params
+        assert walked == [(name, p.data.shape) for name, p in params.items()]
 
 
 class TestFullModelGradient:

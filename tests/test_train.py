@@ -334,6 +334,26 @@ class TestCheckpointing:
         save_model_checkpoint(b, model, vocab)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_failed_overwrite_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        model, vocab, _ = tiny_setup(n=4)
+        path = tmp_path / "m.ckpt"
+        save_model_checkpoint(path, model, vocab)
+        old = path.read_bytes()
+        write_blob, calls = ckpt._write_blob, []
+
+        def fail_third(*args):
+            calls.append(args[1])
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            write_blob(*args)
+
+        monkeypatch.setattr(ckpt, "_write_blob", fail_third)
+        with pytest.raises(OSError, match="no space"):
+            save_model_checkpoint(path, model, vocab)
+        assert len(calls) == 3
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
