@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -56,33 +57,41 @@ class _Reader:
         return name, data.copy()
 
 
-def save_checkpoint(path: Path, config_payload: dict,
-                    params: dict[str, np.ndarray],
-                    optim_state: dict[str, np.ndarray]) -> None:
-    """`config_payload` is any JSON-serializable header (model config,
-    vocab); `params` and `optim_state` are name -> float64 arrays. The step
-    counter is the optimizer state's `t` blob. The file is written beside
-    `path`, synced and renamed over it, so a failed save leaves the old one."""
+@contextmanager
+def atomic_write(path: Path):
+    """A binary file written beside `path`, synced and renamed over it on
+    success and removed on any failure, so a failed write leaves the old file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    header = json.dumps(config_payload, sort_keys=True).encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            for section in (params, optim_state):
-                fh.write(struct.pack("<I", len(section)))
-                for name in section:
-                    _write_blob(fh, name, np.asarray(section[name], dtype=np.float64))
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path: Path, config_payload: dict,
+                    params: dict[str, np.ndarray],
+                    optim_state: dict[str, np.ndarray]) -> None:
+    """`config_payload` is any JSON-serializable header (model config,
+    vocab); `params` and `optim_state` are name -> float64 arrays. The step
+    counter is the optimizer state's `t` blob. Written through `atomic_write`."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = json.dumps(config_payload, sort_keys=True).encode("utf-8")
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        for section in (params, optim_state):
+            fh.write(struct.pack("<I", len(section)))
+            for name in section:
+                _write_blob(fh, name, np.asarray(section[name], dtype=np.float64))
 
 
 def load_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]:

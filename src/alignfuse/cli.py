@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .data import (
     build_vocab,
     generate_synthetic_dataset,
@@ -192,8 +193,8 @@ def cmd_train(args) -> int:
         "train_accuracy": report.accuracy,
         "best_train_accuracy": best["accuracy"],
     }
-    (out_dir / "train_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    with atomic_write(out_dir / "train_summary.json") as fh:
+        fh.write((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -211,7 +212,8 @@ def cmd_eval(args) -> int:
             out = out / "eval_report.json"
         else:
             out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
+        with atomic_write(out) as fh:
+            fh.write((text + "\n").encode())
     return EXIT_OK
 
 

@@ -346,9 +346,10 @@ def read_volume(path: Path) -> np.ndarray:
         dims = struct.unpack("<III", header[8:20])
         count = dims[0] * dims[1] * dims[2]
         left = Path(path).stat().st_size - len(header)
-        if count * 8 > left:
-            raise DataFormatError(f"{path}: truncated volume payload: header claims "
-                                  f"{dims} voxels but only {left} bytes follow")
+        if count * 8 != left:  # write_volume writes exactly the header's voxels
+            what = "truncated volume payload" if count * 8 > left else "trailing bytes"
+            raise DataFormatError(f"{path}: {what}: header claims {dims} voxels "
+                                  f"({count * 8} bytes) but {left} bytes follow")
         volume = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(dims).copy()
     if not np.isfinite(volume).all():
         raise DataFormatError(f"{path}: non-finite voxel values")

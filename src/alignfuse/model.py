@@ -158,9 +158,11 @@ def param_specs(config: ModelConfig, rng: RngStream):
 class AlignFuseModel:
     """Config + parameter store + every forward-path operation."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0,
+                 arrays: dict[str, np.ndarray] | None = None):
+        """Draws from `seed`, or holds the checked `arrays` as they are and draws nothing."""
         self.config = config
-        self.params = {name: Tensor(draw(), requires_grad=True)
+        self.params = {name: Tensor(draw() if arrays is None else arrays[name], requires_grad=True)
                        for name, _, draw in param_specs(config, RngStream(seed))}
 
     # -- primitives -----------------------------------------------------------

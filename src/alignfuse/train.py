@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import checkpoint as ckpt
 from .data import (
@@ -73,12 +72,14 @@ class TrainConfig:
 class AdamW:
     """Bias-corrected Adam with decoupled weight decay."""
 
-    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
+    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig,
+                 state: dict[str, np.ndarray] | None = None):
+        """Resumes the step and moments of `state`, laid out as `state_arrays` writes them."""
         self.params = params
         self.cfg = cfg
-        self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.t = int(state["t"]) if state else 0
+        self.m = {k: state[f"{k}.m"] if state else np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: state[f"{k}.v"] if state else np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self) -> None:
         cfg = self.cfg
@@ -117,12 +118,6 @@ class AdamW:
             out[f"{name}.m"] = self.m[name]
             out[f"{name}.v"] = self.v[name]
         return out
-
-    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        self.t = int(state["t"])
-        for name in self.params:
-            self.m[name] = state[f"{name}.m"]
-            self.v[name] = state[f"{name}.v"]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +219,9 @@ def compute_auc(scores, labels) -> float:
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInputError("AUC needs both classes present")
-    ranks = rankdata(scores, method="average")
+    # average ranks: a run of c tied scores ending at rank r gets r - (c - 1) / 2
+    _, inv, cnt = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -351,12 +348,5 @@ def load_model_checkpoint(path: Path, train_cfg: TrainConfig | None = None,
         if state["t"] < 0 or state["t"] != np.floor(state["t"]):
             raise CheckpointError(f"{path}: optimizer step t={float(state['t'])!r} "
                                   "is not a non-negative integer")
-    model = AlignFuseModel(config, seed=0)
-    for name, p in model.params.items():
-        p.data = params[name]
-    optim = None
-    if train_cfg is not None:
-        optim = AdamW(model.params, train_cfg)
-        if state:
-            optim.load_state_arrays(state)
-    return model, vocab, optim
+    model = AlignFuseModel(config, arrays=params)
+    return model, vocab, None if train_cfg is None else AdamW(model.params, train_cfg, state)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import struct
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from alignfuse import checkpoint as ckpt
 from alignfuse import cli
-from alignfuse.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from alignfuse.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from alignfuse.data import load_dataset, read_volume, write_volume
 from alignfuse.errors import CheckpointError
 from alignfuse.tensor import RngStream
@@ -31,6 +32,17 @@ def dir_digest(root: Path) -> str:
             h.update(str(p.relative_to(root)).encode())
             h.update(p.read_bytes())
     return h.hexdigest()
+
+
+def refuse_replacing(target: Path):
+    """`os.replace` that raises OSError for a rename onto `target`."""
+    replace = os.replace
+
+    def fake(src, dst, *args, **kwargs):
+        if Path(dst) == target:
+            raise OSError(f"cannot replace {dst}")
+        return replace(src, dst, *args, **kwargs)
+    return fake
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +270,20 @@ class TestTrain:
                      "--out", str(tmp_path / "r")]) == EXIT_OK
         assert len(counted) == calls
 
+    def test_failed_summary_write_keeps_the_old_summary(self, trained, tmp_path,
+                                                         monkeypatch, capsys):
+        ds, run, cfg = trained
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        summary = out / "train_summary.json"
+        old = summary.read_bytes()
+        monkeypatch.setattr(os, "replace", refuse_replacing(summary))
+        assert main(["train", "--dataset", str(ds), "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_IO
+        assert "cannot replace" in capsys.readouterr().err
+        assert summary.read_bytes() == old
+        assert list(out.glob("*.tmp")) == []
+
     def test_malformed_dataset_manifest(self, trained, tmp_path, capsys):
         _, _, cfg = trained
         ds = tmp_path / "ds"
@@ -290,6 +316,21 @@ class TestEval:
                      "--out", f"{out}/"]) == EXIT_OK
         printed = capsys.readouterr().out
         assert (out / "eval_report.json").read_text() == printed
+
+    def test_failed_report_write_keeps_the_old_report(self, trained, tmp_path,
+                                                       monkeypatch, capsys):
+        ds, run, _ = trained
+        out = tmp_path / "reports"
+        argv = ["eval", "--dataset", str(ds), "--checkpoint", str(run / "final.ckpt"),
+                "--out", f"{out}/"]
+        assert main(argv) == EXIT_OK
+        report = out / "eval_report.json"
+        old = report.read_bytes()
+        monkeypatch.setattr(os, "replace", refuse_replacing(report))
+        assert main(argv) == EXIT_IO
+        assert "cannot replace" in capsys.readouterr().err
+        assert report.read_bytes() == old
+        assert [p.name for p in out.iterdir()] == ["eval_report.json"]
 
     def test_trailing_bytes(self, trained, tmp_path, capsys):
         ds, run, _ = trained
@@ -572,6 +613,9 @@ BAD_DATASET = {
     "volume_version_2": (lambda ds: edit_volume(
         ds, lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:]),
         "00001.vol: unsupported volume version 2"),
+    "volume_header_claims_half_the_voxels": (lambda ds: edit_volume(
+        ds, lambda raw: raw[:8] + struct.pack("<I", struct.unpack("<I", raw[8:12])[0] // 2)
+        + raw[12:]), "00001.vol: trailing bytes"),
     "non_utf8_manifest": (lambda ds: (ds / "manifest.jsonl").write_bytes(
         b'{"x": "\xff", ' + (ds / "manifest.jsonl").read_bytes()[1:]),
         "manifest line 1"),

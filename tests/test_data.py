@@ -270,6 +270,22 @@ class TestDiskFormat:
         with pytest.raises(DataFormatError, match="100000"):
             read_volume(path)
 
+    def test_header_claims_fewer_voxels_than_the_file_holds(self, tmp_path):
+        path = tmp_path / "x.vol"
+        write_volume(path, np.zeros((30, 31, 32)))
+        raw = bytearray(path.read_bytes())
+        raw[8:20] = struct.pack("<III", 15, 31, 32)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match=r"x\.vol: trailing bytes.*\(15, 31, 32\)"):
+            read_volume(path)
+
+    def test_bytes_after_the_voxels(self, tmp_path):
+        path = tmp_path / "x.vol"
+        write_volume(path, np.zeros((30, 31, 32)))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DataFormatError, match=r"x\.vol: trailing bytes"):
+            read_volume(path)
+
     def test_dataset_roundtrip(self, tmp_path):
         recs = generate_synthetic_dataset(5, 3, side=8, missing_rate=0.4, seed=9)
         manifest = save_dataset(recs, tmp_path / "ds")

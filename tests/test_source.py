@@ -1,7 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from alignfuse.model import ModelConfig
 from alignfuse.train import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(alignfuse.__file__).resolve().parents[1]
 
 
 def package_nodes():
@@ -54,3 +58,12 @@ def test_readme_documents_every_config_field():
         "train": {f.name for f in fields(TrainConfig)} - {"weights"},
         "train.weights": {f.name for f in fields(LossWeights)},
     }
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats takes most of a second to import and nothing in the package needs it
+    code = "import sys, alignfuse.cli; print([m for m in sys.modules if 'scipy.stats' in m])"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -147,8 +147,8 @@ class TestAdamW:
         p.grad = np.array([0.2])
         opt.step()
         state = {k: v.copy() for k, v in opt.state_arrays().items()}
-        p2, opt2 = self.make(1.0)
-        opt2.load_state_arrays(state)
+        p2 = Tensor(np.array([1.0]), requires_grad=True)
+        opt2 = AdamW({"p": p2}, opt.cfg, state)
         assert opt2.t == 1
         assert np.array_equal(opt2.m["p"], opt.m["p"])
         assert np.array_equal(opt2.v["p"], opt.v["p"])
@@ -353,6 +353,44 @@ class TestCheckpointing:
         assert len(calls) == 3
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_loads_the_checked_blobs_without_drawing(self, tmp_path, monkeypatch):
+        # the model and optimizer hold the checkpoint's arrays: no parameter
+        # is drawn and no moment is allocated only to be overwritten
+        model, vocab, examples = tiny_setup(n=4)
+        cfg = TrainConfig(batch_size=4, steps=2, seed=0)
+        optim = AdamW(model.params, cfg)
+        train_steps(model, optim, examples, cfg)
+        path = tmp_path / "m.ckpt"
+        save_model_checkpoint(path, model, vocab, optim)
+        _, params, state = ckpt.load_checkpoint(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was drawn or allocated")
+
+        monkeypatch.setattr(RngStream, "truncated_normal", refuse)
+        monkeypatch.setattr(np, "zeros_like", refuse)
+        for train_cfg in (None, cfg):
+            model2, _, optim2 = load_model_checkpoint(path, train_cfg)
+            assert model2.params.keys() == params.keys()
+            for name, p in model2.params.items():
+                assert p.data.shape == params[name].shape
+                assert p.data.tobytes() == params[name].tobytes()
+        assert optim2.params is model2.params and optim2.t == 2
+        for name in params:
+            for k, moments in (("m", optim2.m), ("v", optim2.v)):
+                assert moments[name].shape == state[f"{name}.{k}"].shape
+                assert moments[name].tobytes() == state[f"{name}.{k}"].tobytes()
+
+    def test_checkpoint_without_optimizer_resumes_at_step_zero(self, tmp_path):
+        model, vocab, _ = tiny_setup(n=4)
+        path = tmp_path / "m.ckpt"
+        save_model_checkpoint(path, model, vocab)
+        _, _, optim = load_model_checkpoint(path, TrainConfig())
+        assert optim.t == 0
+        for name, p in optim.params.items():
+            assert optim.m[name].shape == optim.v[name].shape == p.data.shape
+            assert not optim.m[name].any() and not optim.v[name].any()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
