@@ -110,10 +110,12 @@ def load_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[str, 
         if not isinstance(config_payload, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
         sections = []
-        for _ in range(2):
+        for what in ("parameter", "optimizer"):
             section: dict[str, np.ndarray] = {}
             for _ in range(r.read_u32()):
                 name, data = r.read_blob()
+                if name in section:
+                    raise CheckpointError(f"{path}: {what} section repeats the blob {name!r}")
                 section[name] = data
             sections.append(section)
         if fh.read(1):

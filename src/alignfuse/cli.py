@@ -125,7 +125,8 @@ def write_run_manifest(out_dir: Path, dataset: str, model_cfg: ModelConfig,
         "checksums": {"dataset_manifest": sha256_file(mpath)},
     }
     path = out_dir / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as fh:
+        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return path
 
 
@@ -227,34 +228,33 @@ def cmd_export(args) -> int:
 
     if args.what == "embeddings":
         probs, z_img, z_txt = predict(model, examples)
-        path = out_dir / "embeddings.jsonl"
-        with open(path, "w") as fh:
+        with atomic_write(out_dir / "embeddings.jsonl") as fh:
             for i, ex in enumerate(examples):
-                fh.write(json.dumps({
+                fh.write((json.dumps({
                     "index": i,
                     "label": ex.label,
                     "z_image": z_img[i].tolist(),
                     "z_text": z_txt[i].tolist(),
-                }) + "\n")
+                }) + "\n").encode())
         gap = modality_gap(z_img, z_txt)
-        (out_dir / "embeddings_summary.json").write_text(
-            json.dumps({"modality_gap": gap, "n": len(examples)},
-                       sort_keys=True) + "\n")
+        with atomic_write(out_dir / "embeddings_summary.json") as fh:
+            fh.write((json.dumps({"modality_gap": gap, "n": len(examples)},
+                                 sort_keys=True) + "\n").encode())
         print(f"modality_gap {gap:.6f} over {len(examples)} records")
     else:
-        path = out_dir / "attention.jsonl"
-        with open(path, "w") as fh, no_grad():
+        # one atomic file: a chunk that fails leaves no partial export
+        with atomic_write(out_dir / "attention.jsonl") as fh, no_grad():
             for start in range(0, len(examples), PREDICT_CHUNK):
                 chunk = examples[start:start + PREDICT_CHUNK]
                 heat, txt_w = model.attention_maps(collate(chunk))
                 for i, ex in enumerate(chunk):
-                    fh.write(json.dumps({
+                    fh.write((json.dumps({
                         "index": start + i,
                         "label": ex.label,
                         "grid_side": model.config.grid_side,
                         "image_heat": heat[i].tolist(),
                         "text_weights": txt_w[i].tolist(),
-                    }) + "\n")
+                    }) + "\n").encode())
         print(f"wrote attention maps for {len(examples)} records")
     return EXIT_OK
 

@@ -344,6 +344,8 @@ def read_volume(path: Path) -> np.ndarray:
         if version != VOLUME_VERSION:
             raise DataFormatError(f"{path}: unsupported volume version {version}")
         dims = struct.unpack("<III", header[8:20])
+        if 0 in dims:
+            raise DataFormatError(f"{path}: volume header claims an empty volume {dims}")
         count = dims[0] * dims[1] * dims[2]
         left = Path(path).stat().st_size - len(header)
         if count * 8 != left:  # write_volume writes exactly the header's voxels

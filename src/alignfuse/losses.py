@@ -56,9 +56,16 @@ def itc_loss(z_image: Tensor, z_text: Tensor, tau) -> Tensor:
     b = z_image.shape[0]
     zi = unit_rows(z_image)
     zt = unit_rows(z_text)
-    sims = (zi @ zt.T) * as_tensor(tau).reshape(1, 1) ** -1.0  # (b, b)
+    sims = (zi @ zt.T) * as_tensor(tau) ** -1.0  # (b, b)
     pairs = np.arange(b)
     return cross_entropy(sims, pairs, 1.0 / b) + cross_entropy(sims.T, pairs, 1.0 / b)
+
+
+def _record_weights(masked: np.ndarray, size: int = 1) -> np.ndarray:
+    """``masked / (count * size * records)``: a mean within each record, then over records."""
+    n_records = masked.size // masked.shape[-1]
+    counts = np.maximum(masked.sum(axis=-1, keepdims=True), 1)  # a record with none weighs 0
+    return masked / (counts * size * n_records)
 
 
 def image_recon_loss(target: np.ndarray, recon: Tensor,
@@ -70,12 +77,7 @@ def image_recon_loss(target: np.ndarray, recon: Tensor,
     if recon.shape != tuple(target.shape):
         raise DimensionError(
             f"reconstruction shape {recon.shape} != target {target.shape}")
-    masked = np.asarray(masked, dtype=bool)
-    if not masked.any():
-        return Tensor(np.array(0.0))
-    n_records = masked.size // masked.shape[-1]
-    counts = np.maximum(masked.sum(axis=-1, keepdims=True), 1)
-    weight = masked / (counts * target.shape[-1] * n_records)
+    weight = _record_weights(np.asarray(masked, dtype=bool), target.shape[-1])
     diff = recon - target
     return (diff * diff * weight[..., None]).sum()
 
@@ -86,17 +88,11 @@ def text_recon_loss(ids: np.ndarray, pad_mask: np.ndarray, logits: Tensor,
     within each record and then over records. `ids`, `pad_mask` and
     `masked` are (..., L), `logits` is (..., L, vocab)."""
     masked = np.asarray(masked, dtype=bool)
-    if not masked.any():
-        return Tensor(np.array(0.0))
     if masked[..., 0].any():
         raise ContractError("masked positions must exclude [CLS]")
     if (masked & ~pad_mask).any():
         raise ContractError("masked positions must be real tokens")
-    n_records = masked.size // masked.shape[-1]
-    where = np.nonzero(masked)
-    # each record's targets weigh 1 / (its count * records)
-    return cross_entropy(logits[where], ids[where],
-                         1.0 / (masked.sum(axis=-1)[where[:-1]] * n_records))
+    return cross_entropy(logits, ids, _record_weights(masked))
 
 
 def classification_loss(class_logits: Tensor, labels) -> Tensor:

@@ -414,7 +414,7 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
         grad[hit] -= g * w
         a._accum(grad.reshape(a.data.shape))
 
-    return Tensor._result(np.asarray(-(w * (picked - np.log(total))).sum()),
+    return Tensor._result(np.asarray((w * (np.log(total) - picked)).sum()),
                           (a,), backward)
 
 

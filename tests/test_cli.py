@@ -10,9 +10,10 @@ import pytest
 
 from alignfuse import checkpoint as ckpt
 from alignfuse import cli
-from alignfuse.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from alignfuse.cli import EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from alignfuse.data import load_dataset, read_volume, write_volume
-from alignfuse.errors import CheckpointError
+from alignfuse.errors import CheckpointError, NumericError
+from alignfuse.model import AlignFuseModel
 from alignfuse.tensor import RngStream
 from alignfuse.train import (PREDICT_CHUNK, load_model_checkpoint, modality_gap,
                              prepare_examples)
@@ -415,6 +416,19 @@ def edit_checkpoint(src: Path, dst: Path, edit) -> Path:
     return dst
 
 
+def write_blob_lists(dst: Path, header: dict, params: list, state: list) -> Path:
+    """A checkpoint at `dst` whose two sections are lists of (name, array)
+    pairs, so a name may repeat, which no dict can express."""
+    payload = json.dumps(header, sort_keys=True).encode()
+    with open(dst, "wb") as fh:
+        fh.write(ckpt.MAGIC + struct.pack("<II", ckpt.VERSION, len(payload)) + payload)
+        for section in (params, state):
+            fh.write(struct.pack("<I", len(section)))
+            for name, arr in section:
+                ckpt._write_blob(fh, name, arr)
+    return dst
+
+
 BAD_CHECKPOINT = {
     "missing_param": (lambda h, p, s: p.pop("log_tau"), "log_tau"),
     "extra_param": (lambda h, p, s: p.update({"extra.w": np.zeros(3)}), "extra.w"),
@@ -470,6 +484,22 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err
         assert f"repeats the token {token!r}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("section, name", [("parameter", "img.lp.w"),
+                                               ("parameter", "log_tau"), ("optimizer", "t")])
+    def test_repeated_blob_exits_2(self, trained, tmp_path, capsys, section, name):
+        # a second copy, appended as zeros, would otherwise replace the first
+        ds, run, _ = trained
+        header, params, state = ckpt.load_checkpoint(run / "final.ckpt")
+        lists = {"parameter": list(params.items()), "optimizer": list(state.items())}
+        blobs = params if section == "parameter" else state
+        lists[section].append((name, np.zeros_like(blobs[name])))
+        bad = write_blob_lists(tmp_path / "bad.ckpt", header, lists["parameter"],
+                               lists["optimizer"])
+        rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(bad)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{section} section repeats the blob {name!r}" in err and "Traceback" not in err
+
     def test_header_is_checked_before_any_parameter_is_drawn(self, trained, tmp_path,
                                                              monkeypatch):
         # without the patch a model of 10**6 blocks would draw until memory runs out
@@ -516,6 +546,27 @@ class TestExport:
             assert abs(heat.sum() - 1.0) < 1e-6
             txt = np.array(r["text_weights"])
             assert abs(txt.sum() - 1.0) < 1e-6
+
+    def test_failed_attention_export_leaves_no_file(self, trained, tmp_path,
+                                                    monkeypatch, capsys):
+        # the third of three chunks fails after two were computed
+        ds, run, _ = trained
+        real, calls = AlignFuseModel.attention_maps, []
+
+        def fail_third_chunk(model, batch):
+            calls.append(len(batch.ids))
+            if len(calls) == 3:
+                raise NumericError("non-finite attention in the third chunk")
+            return real(model, batch)
+
+        monkeypatch.setattr(AlignFuseModel, "attention_maps", fail_third_chunk)
+        out = tmp_path / "att"
+        assert main(["export", "--dataset", str(ds), "--checkpoint",
+                     str(run / "final.ckpt"), "--what", "attention",
+                     "--out", str(out)]) == EXIT_NUMERIC
+        assert "third chunk" in capsys.readouterr().err
+        assert calls == [PREDICT_CHUNK] * 3
+        assert list(out.iterdir()) == []
 
     def test_attention_batches_match_single_records(self, trained, tmp_path):
         ds, run, _ = trained
@@ -616,6 +667,10 @@ BAD_DATASET = {
     "volume_header_claims_half_the_voxels": (lambda ds: edit_volume(
         ds, lambda raw: raw[:8] + struct.pack("<I", struct.unpack("<I", raw[8:12])[0] // 2)
         + raw[12:]), "00001.vol: trailing bytes"),
+    # zero voxels claimed and none follow, so only the dimension gives it away
+    "volume_header_with_a_zero_dimension": (lambda ds: edit_volume(
+        ds, lambda raw: raw[:8] + struct.pack("<III", 0, 32, 32)),
+        "00001.vol: volume header claims an empty volume (0, 32, 32)"),
     "non_utf8_manifest": (lambda ds: (ds / "manifest.jsonl").write_bytes(
         b'{"x": "\xff", ' + (ds / "manifest.jsonl").read_bytes()[1:]),
         "manifest line 1"),

@@ -279,6 +279,14 @@ class TestDiskFormat:
         with pytest.raises(DataFormatError, match=r"x\.vol: trailing bytes.*\(15, 31, 32\)"):
             read_volume(path)
 
+    def test_header_with_a_zero_dimension(self, tmp_path):
+        # zero voxels claimed and none follow: the sizes agree, the volume is empty
+        path = tmp_path / "x.vol"
+        write_volume(path, np.zeros((2, 2, 2)))
+        path.write_bytes(path.read_bytes()[:8] + struct.pack("<III", 0, 32, 32))
+        with pytest.raises(DataFormatError, match=r"x\.vol: .*empty volume \(0, 32, 32\)"):
+            read_volume(path)
+
     def test_bytes_after_the_voxels(self, tmp_path):
         path = tmp_path / "x.vol"
         write_volume(path, np.zeros((30, 31, 32)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alignfuse.data import TokenSequence
 from alignfuse.errors import ContractError, DegenerateInputError, DimensionError, LabelError
@@ -13,7 +15,7 @@ from alignfuse.losses import (
     text_recon_loss,
     total_loss,
 )
-from alignfuse.tensor import RngStream, Tensor, finite_diff_check
+from alignfuse.tensor import RngStream, Tensor, cross_entropy, finite_diff_check
 
 
 def brute_force_itc(zi: np.ndarray, zt: np.ndarray, tau: float) -> float:
@@ -88,6 +90,18 @@ class TestItcLoss:
         zi = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         zt = Tensor(rng.normal(size=(3, 4)))
         assert finite_diff_check(lambda t: itc_loss(t, zt, 0.07), zi) < 1e-4
+
+    def test_temperature_tensor_broadcasts_like_a_float(self):
+        # the model passes tau as the (1,) tensor exp(log_tau)
+        rng = np.random.Generator(np.random.PCG64(7))
+        zi, zt = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+        tau = Tensor([0.07], requires_grad=True)
+        loss = itc_loss(zi, zt, tau)
+        assert loss.shape == ()
+        assert loss.item() == itc_loss(zi, zt, 0.07).item()
+        loss.backward()
+        assert tau.grad.shape == (1,)
+        assert finite_diff_check(lambda t: itc_loss(zi, zt, t), tau) < 1e-4
 
 
 def positions(n, idx):
@@ -214,6 +228,76 @@ class TestTextReconLoss:
         expected = sum(text_recon_loss(ids[j], pad[j], Tensor(logits[j]),
                                        masked[j]).item() for j in range(3)) / 3
         assert abs(got - expected) < 1e-14
+
+
+def gathered_text_loss(ids, logits: Tensor, masked) -> Tensor:
+    """Oracle: cross-entropy over the gathered masked rows only, each
+    weighing 1 / (its record's count * records)."""
+    n_records = masked.size // masked.shape[-1]
+    where = np.nonzero(masked)
+    return cross_entropy(logits[where], ids[where],
+                         1.0 / (masked.sum(axis=-1)[where[:-1]] * n_records))
+
+
+@st.composite
+def text_batches(draw):
+    """(ids, pad_mask, logits, masked) with ragged lengths; any subset of
+    real non-[CLS] positions is masked, none at all included."""
+    b, length, vocab = draw(st.integers(1, 4)), draw(st.integers(2, 8)), draw(st.integers(2, 12))
+    lengths = np.array(draw(st.lists(st.integers(1, length), min_size=b, max_size=b)))
+    pad = np.arange(length) < lengths[:, None]
+    bits = np.array(draw(st.lists(st.booleans(), min_size=b * length, max_size=b * length)))
+    masked = pad & bits.reshape(b, length) & (np.arange(length) > 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = np.where(pad, rng.integers(0, vocab, (b, length)), 0)
+    return ids, pad, rng.normal(scale=3.0, size=(b, length, vocab)), masked
+
+
+RAGGED_IDS = np.array([[1, 5, 6, 0], [1, 4, 0, 0]])
+RAGGED_LOGITS = np.random.default_rng(4).normal(size=(2, 4, 8))
+
+
+class TestTextLossMatchesGatheredRows:
+    @settings(max_examples=200, deadline=None)
+    @given(text_batches())
+    @example((RAGGED_IDS, RAGGED_IDS != 0, RAGGED_LOGITS, np.zeros((2, 4), dtype=bool)))
+    @example((RAGGED_IDS, RAGGED_IDS != 0, RAGGED_LOGITS,
+              np.array([[False, True, True, False], [False] * 4])))
+    def test_value_and_gradient(self, case):
+        ids, pad, logits, masked = case
+        got, want = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
+        loss = text_recon_loss(ids, pad, got, masked)
+        oracle = gathered_text_loss(ids, want, masked)
+        assert abs(loss.item() - oracle.item()) <= 1e-14 * abs(oracle.item())
+        loss.backward()
+        oracle.backward()
+        assert np.array_equal(got.grad, want.grad)
+
+
+def is_positive_zero(x: float) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+class TestEmptyMaskGivesPositiveZero:
+    def test_image(self):
+        x = np.ones((2, 4, 8))
+        recon = Tensor(np.zeros((2, 4, 8)), requires_grad=True)
+        loss = image_recon_loss(x, recon, np.zeros((2, 4), dtype=bool))
+        assert is_positive_zero(loss.item())
+        loss.backward()
+        assert not recon.grad.any()
+
+    @pytest.mark.parametrize("true_logit", [0.0, 1000.0])
+    def test_text(self, true_logit):
+        # a true logit 1000 above the rest makes every position's NLL exactly
+        # 0: the weighted sum of 0 * 0 terms must still read +0.0
+        logits = RAGGED_LOGITS.copy()
+        np.put_along_axis(logits, RAGGED_IDS[..., None], true_logit, axis=-1)
+        t = Tensor(logits, requires_grad=True)
+        loss = text_recon_loss(RAGGED_IDS, RAGGED_IDS != 0, t, np.zeros((2, 4), dtype=bool))
+        assert is_positive_zero(loss.item())
+        loss.backward()
+        assert not t.grad.any()
 
 
 class TestClassificationLoss:

@@ -307,7 +307,7 @@ class TestTrainSteps:
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._prev)
-        assert len(seen) == 240
+        assert len(seen) == 238
 
 
 class TestCheckpointing:
