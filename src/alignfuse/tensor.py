@@ -27,6 +27,10 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # NaN/Inf guard stays active) but large enough that exp underflows to 0.
 NEG_MASK_BIAS = -1e30
 LN_EPS = 1e-5  # added to the layer-norm variance
+# Bytes of float64 scores that one attention tile of (batch, head) slices may
+# hold. A desk-sized node is one tile; a 513-token image node is several.
+# Node timings were the same from one to four 513-token slices per tile.
+ATTENTION_TILE_BYTES = 8 << 20
 
 
 @contextmanager
@@ -468,44 +472,78 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
               key_bias: np.ndarray | None = None, record: list | None = None) -> Tensor:
     """Multi-head ``softmax(q·kᵀ/√d_h + key_bias)·v`` of (B, Nq, d) queries
     over (B, Nkv, d) keys and values as one node. `key_bias` broadcasts to the
-    (B, h, Nq, Nkv) scores. The backward keeps only the probabilities, not the
-    scores (FlashAttention's trade, Dao et al., 2022); `record`, when given,
-    receives them."""
+    (B, h, Nq, Nkv) scores. The B·h head slices run in tiles whose scores fit
+    ``ATTENTION_TILE_BYTES``. When one tile covers the node, or `record` takes
+    the (B, h, Nq, Nkv) probabilities, the backward keeps them; otherwise it
+    keeps none and recomputes each tile's (FlashAttention's trade, Dao et al.,
+    2022). Both passes compute probabilities with the same operations, so the
+    two ways give the same bits."""
     (b, n_q, d), n_kv = q.data.shape, k.data.shape[1]
     if d % n_heads or k.data.shape != (b, n_kv, d) or v.data.shape != k.data.shape:
         raise DimensionError(f"attention of {q.data.shape} over {k.data.shape} keys and "
                              f"{v.data.shape} values in {n_heads} heads")
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
+    bh = b * n_heads
 
-    def split(a):  # (B, N, d) -> contiguous (B, h, N, d_h); a view of `a` when h == 1
-        return np.ascontiguousarray(a.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3))
-    def merge(a):  # (B, h, N, d_h) -> (B, N, d)
-        return a.transpose(0, 2, 1, 3).reshape(b, -1, d)
+    def split(a):  # (B, N, d) -> contiguous (B·h, N, d_h); a view of `a` when h == 1
+        return np.ascontiguousarray(
+            a.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)).reshape(bh, -1, dh)
+    def merge(a):  # (B·h, N, d_h) -> (B, N, d)
+        return a.reshape(b, n_heads, -1, dh).transpose(0, 2, 1, 3).reshape(b, -1, d)
     qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
-    probs = qh @ kh.swapaxes(-1, -2)
-    if key_bias is not None:
-        probs += key_bias
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    if record is not None:
-        record.append(probs)
-    out = merge(probs @ vh)
+    if key_bias is not None:  # one (Nq or 1, Nkv or 1) bias per head slice
+        shape = np.broadcast_shapes(np.shape(key_bias), (b, n_heads, 1, 1))
+        key_bias = np.broadcast_to(key_bias, shape).reshape(bh, *shape[2:])
+
+    def probabilities(t):
+        p = qh[t] @ kh[t].swapaxes(-1, -2)
+        if key_bias is not None:
+            p += key_bias[t]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
+
+    per_tile = max(1, ATTENTION_TILE_BYTES // (8 * n_q * n_kv))
+    tiles = [slice(s, s + per_tile) for s in range(0, bh, per_tile)]
+    probs = None
+    if len(tiles) == 1 or record is not None:
+        tiles = [slice(None)]
+        probs = probabilities(tiles[0])
+        if record is not None:
+            record.append(probs.reshape(b, n_heads, n_q, n_kv))
+    heads = np.empty((bh, n_q, dh))
+    for t in tiles:
+        np.matmul(probabilities(t) if probs is None else probs, vh[t], out=heads[t])
+    out = merge(heads)
 
     def backward(g):
         gh = split(g)
-        if v.requires_grad:
-            v._accum(merge(probs.swapaxes(-1, -2) @ gh))
-        # softmax backward in dP's own buffer; the row dot dP·P equals dO·O
-        ds = gh @ vh.swapaxes(-1, -2)
+        # the row dot dP·P equals dO·O
         dot = (g * out).reshape(b, n_q, n_heads, dh).sum(axis=-1)
-        ds -= dot.transpose(0, 2, 1)[..., None]
-        ds *= probs
-        if q.requires_grad:
-            q._accum(merge(ds @ kh) * scale)
-        if k.requires_grad:
-            k._accum(merge(ds.swapaxes(-1, -2) @ qh))
+        dot = dot.transpose(0, 2, 1).reshape(bh, n_q, 1)
+        dq, dk, dv = (np.empty_like(a) if x.requires_grad else None
+                      for a, x in ((qh, q), (kh, k), (vh, v)))
+        for t in tiles:
+            p = probabilities(t) if probs is None else probs
+            if dv is not None:
+                np.matmul(p.swapaxes(-1, -2), gh[t], out=dv[t])
+            # softmax backward in dP's own buffer
+            ds = gh[t] @ vh[t].swapaxes(-1, -2)
+            ds -= dot[t]
+            ds *= p
+            if dq is not None:
+                np.matmul(ds, kh[t], out=dq[t])
+            if dk is not None:
+                np.matmul(ds.swapaxes(-1, -2), qh[t], out=dk[t])
+            del p, ds  # free this tile's arrays before the next tile's exist
+        if dv is not None:
+            v._accum(merge(dv))
+        if dq is not None:
+            q._accum(merge(dq) * scale)
+        if dk is not None:
+            k._accum(merge(dk))
 
     return Tensor._result(out, (q, k, v), backward)
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from alignfuse import tensor
 from alignfuse.errors import (
     ContractError,
     DegenerateInputError,
@@ -331,6 +333,96 @@ class TestAttention:
             bias = pad_bias(real)
         w = rng.uniform(0.5, 1.5, size=(b, n_q, d))
         assert_matches_oracle(node_and_oracle_grads(node, oracle, inputs, w))
+
+    def run_node(self, inputs, n_heads, bias, record, g):
+        """Output, input gradients and recorded probabilities of one node
+        over fresh leaves of `inputs` (one array: shared self-attention)."""
+        leaves = [Tensor(a, requires_grad=True) for a in inputs]
+        rec = [] if record else None
+        out = attention(*(leaves * 3 if len(leaves) == 1 else leaves), n_heads, bias, rec)
+        out._backward(g)
+        return [out.data, *(t.grad for t in leaves), *(rec or [])]
+
+    @settings(max_examples=80, deadline=None)
+    @given(b=st.integers(1, 3), n_q=st.integers(1, 6), n_kv=st.integers(1, 6),
+           n_heads=st.integers(1, 3), dh=st.integers(1, 4), pads=st.booleans(),
+           shared=st.booleans(), record=st.booleans(), data=st.data(),
+           seed=st.integers(0, 2**16))
+    def test_tiles_give_the_one_tile_bits(self, b, n_q, n_kv, n_heads, dh, pads, shared,
+                                          record, data, seed):
+        assume(b * n_heads >= 2)
+        rng = np.random.default_rng(seed)
+        d = n_heads * dh
+        n_kv = n_q if shared else n_kv
+        inputs = [rng.normal(size=(b, n, d)) for n in ((n_q,) if shared else (n_q, n_kv, n_kv))]
+        bias = None
+        if pads:  # key 0 stays real, as [CLS] does
+            real = rng.random((b, n_kv)) < 0.6
+            real[:, 0] = True
+            bias = pad_bias(real)
+        g = rng.normal(size=(b, n_q, d))
+        one_tile = self.run_node(inputs, n_heads, bias, record, g)
+        # fewer slices per tile than the node has, the last tile ragged when
+        # they do not divide it, and budgets that are not a whole slice
+        per_tile = data.draw(st.integers(1, b * n_heads - 1))
+        slack = data.draw(st.integers(0, 8 * n_q * n_kv - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "ATTENTION_TILE_BYTES", per_tile * 8 * n_q * n_kv + slack)
+            tiled = self.run_node(inputs, n_heads, bias, record, g)
+        assert len(tiled) == len(one_tile)
+        for got, want in zip(tiled, one_tile):
+            assert np.array_equal(got, want)
+        leaves = [Tensor(a, requires_grad=True) for a in inputs]
+        out = attention_composition(*(leaves * 3 if shared else leaves), n_heads, bias)
+        (out * Tensor(g)).sum().backward()
+        assert_matches_oracle([tiled[:1 + len(leaves)], [out.data, *(t.grad for t in leaves)]])
+
+    def test_finite_differences_in_tiles(self, monkeypatch):
+        monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 8)  # one head slice per tile
+        self.test_finite_differences()
+
+    def test_tiled_backward_writes_into_no_input(self, monkeypatch):
+        # one head: the per-head k, v and g are views of the inputs; three tiles
+        monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 8 * 4 * 4)
+        q, k, v = (rand_tensor((3, 4, 3), seed=s) for s in range(3))
+        out = attention(q, k, v, 1, pad_bias(np.array([[True, False, True, True]] * 3)))
+        g = rand_tensor(out.shape, seed=4, requires_grad=False).data
+        before = [a.copy() for a in (q.data, k.data, v.data, g)]
+        for a in (q.data, k.data, v.data, g):
+            a.flags.writeable = False
+        out._backward(g)
+        for a, was in zip((q.data, k.data, v.data, g), before):
+            assert np.array_equal(a, was)
+        assert all(t.grad is not None for t in (q, k, v))
+
+    # a 513-token image self-attention of the bigvol shape, whose (B, h, N, N)
+    # probabilities alone are 33.7 MB
+    BIG, BIG_HEADS = (4, 513, 64), 4
+    BIG_PROBS_BYTES = 8 * 4 * 4 * 513 * 513
+
+    def test_forward_retains_no_probabilities(self):
+        q, k, v = (rand_tensor(self.BIG, seed=s) for s in range(3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = attention(q, k, v, self.BIG_HEADS)
+            retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        # the per-head q, k and v it keeps are O(B·N·d); one tile of scores is allowed
+        assert retained < tensor.ATTENTION_TILE_BYTES + 4 * q.data.nbytes
+        assert retained < self.BIG_PROBS_BYTES
+
+    def test_peak_is_below_one_probability_array(self):
+        q, k, v = (rand_tensor(self.BIG, seed=s) for s in range(3))
+        g = rand_tensor(self.BIG, seed=3, requires_grad=False).data
+        tracemalloc.start()
+        try:
+            attention(q, k, v, self.BIG_HEADS)._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BIG_PROBS_BYTES
 
 
 class TestCrossEntropy:

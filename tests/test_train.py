@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from alignfuse import checkpoint as ckpt
+from alignfuse import tensor
 from alignfuse.data import Vocab, build_vocab, generate_synthetic_dataset
 from alignfuse.errors import (
     CheckpointError,
@@ -27,6 +28,7 @@ from alignfuse.train import (
     load_model_checkpoint,
     macro_auc,
     modality_gap,
+    predict,
     prepare_examples,
     save_model_checkpoint,
     train_steps,
@@ -294,6 +296,21 @@ class TestTrainSteps:
         train_steps(model, AdamW(model.params, cfg), examples, cfg)
         tau = float(model.temperature().data[0])
         assert 0.01 - 1e-12 <= tau <= 1.0 + 1e-12
+
+    def test_tiled_attention_gives_the_same_bits(self, monkeypatch):
+        def run():
+            model, _, examples = tiny_setup(n=6, seed=3)
+            cfg = TrainConfig(batch_size=3, steps=2, seed=3)
+            log = train_steps(model, AdamW(model.params, cfg), examples, cfg)
+            return (log, params_digest(model), *predict(model, examples),
+                    *model.attention_maps(collate(examples[:4])))
+
+        one_tile = run()  # every node of the tiny model fits one tile
+        monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 8)  # one head slice per tile
+        tiled = run()
+        assert tiled[:2] == one_tile[:2]
+        for got, want in zip(tiled[2:], one_tile[2:]):
+            assert np.array_equal(got, want)
 
     def test_graph_size_is_pinned(self):
         # tensors reachable from one tiny batch's loss, parameters included;
