@@ -53,8 +53,12 @@ class _Reader:
         name = self.read_text("blob name")
         ndim = self.read_u32()
         shape = struct.unpack(f"<{ndim}I", self.read(4 * ndim)) if ndim else ()
-        data = np.frombuffer(self.read(math.prod(shape) * 8), dtype="<f8").reshape(shape)
-        return name, data.copy()
+        data = np.frombuffer(self.read(math.prod(shape) * 8), dtype="<f8")
+        try:
+            return name, data.reshape(shape).copy()
+        except ValueError as e:  # more axes than numpy allows, or a size past its index range
+            raise CheckpointError(
+                f"{self.path}: blob {name!r} has an impossible shape: {e}") from e
 
 
 @contextmanager
@@ -105,7 +109,7 @@ def load_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray], dict[str, 
             raise VersionMismatchError(f"{path}: unsupported version {version}")
         try:
             config_payload = json.loads(r.read_text("header"))
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # ValueError: also too-long integers
             raise CheckpointError(f"{path}: header is not JSON: {e}") from e
         if not isinstance(config_payload, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")

@@ -91,7 +91,7 @@ def load_run_config(config_path: str | None,
             raise ConfigError(f"config file not found: {p}")
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (ValueError, RecursionError) as e:  # ValueError: also bad UTF-8, too-long integers
             raise ConfigError(f"config file {p} is not valid JSON: {e}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {p} must contain a JSON object")

@@ -9,6 +9,7 @@ stands in for restricted clinical sources, and the on-disk dataset format
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from dataclasses import dataclass, field
@@ -389,9 +390,9 @@ def load_dataset(manifest_path: Path) -> list[PatientRecord]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
+            try:  # ValueError: also bad UTF-8, too-long integers
                 obj = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DataFormatError(
                     f"{manifest_path}: malformed manifest line {lineno}: {exc}") from exc
             where = f"{manifest_path}: manifest line {lineno}"
@@ -414,6 +415,10 @@ def load_dataset(manifest_path: Path) -> list[PatientRecord]:
                     and isinstance(narrative, (str, type(None)))):
                 raise DataFormatError(f"{where}: demographics and lab_results must be "
                                       "objects and narrative a string or null")
+            for name, value in [*demographics.items(), *lab_results.items()]:
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise DataFormatError(f"{where}: clinical field {name!r} is {value!r}, "
+                                          "not a finite number")
             records.append(PatientRecord(
                 volume=read_volume(root / volume), label=label,
                 demographics=demographics, lab_results=lab_results,

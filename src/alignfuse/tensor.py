@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every value flowing through the model is a :class:`Tensor` wrapping a numpy
-array. Operations build a graph of backward closures; ``backward()`` on a
-scalar replays that graph in reverse topological order and accumulates
+array. Each operation's output lists ``(parent, gradient)`` edges; ``backward()``
+on a scalar replays that graph in reverse topological order and accumulates
 adjoints into leaf ``grad`` buffers. Gradients add across multiple uses of
 the same tensor, which is what the weight-shared encoders rely on.
 """
@@ -135,6 +135,19 @@ class Tensor:
             out._backward = None
         return out
 
+    @staticmethod
+    def _node(data: np.ndarray,
+              *edges: tuple["Tensor", Callable[[np.ndarray], np.ndarray]]) -> "Tensor":
+        """An op's output from its ``(parent, grad)`` edges: the backward adds
+        ``grad(g)`` into each parent that requires grad, in edge order, which
+        is the order of ``_prev``. A parent used twice has two edges."""
+        def backward(g):
+            for parent, grad in edges:
+                if parent.requires_grad:
+                    parent._accum(grad(g))
+
+        return Tensor._result(data, [parent for parent, _ in edges], backward)
+
     def _accum(self, g: np.ndarray) -> None:
         # g may be shared with another parent or be a read-only view: never write into it
         self.grad = g if self.grad is None else self.grad + g
@@ -163,88 +176,51 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(g, b.data.shape))
-
-        return Tensor._result(a.data + b.data, (a, b), backward)
+        return Tensor._node(self.data + other.data,
+                            (self, lambda g: _unbroadcast(g, self.data.shape)),
+                            (other, lambda g: _unbroadcast(g, other.data.shape)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-
-        def backward(g):
-            a._accum(-g)
-
-        return Tensor._result(-a.data, (a,), backward)
+        return Tensor._node(-self.data, (self, lambda g: -g))
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
     def __mul__(self, other):
         other = as_tensor(other)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(g * a.data, b.data.shape))
-
-        return Tensor._result(a.data * b.data, (a, b), backward)
+        return Tensor._node(self.data * other.data,
+                            (self, lambda g: _unbroadcast(g * other.data, self.data.shape)),
+                            (other, lambda g: _unbroadcast(g * self.data, other.data.shape)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: float):
-        a = self
         e = float(exponent)
-
-        def backward(g):
-            a._accum(g * e * a.data ** (e - 1.0))
-
-        return Tensor._result(a.data ** e, (a,), backward)
+        return Tensor._node(self.data ** e, (self, lambda g: g * e * self.data ** (e - 1.0)))
 
     def __matmul__(self, other):
         other = as_tensor(other)
-        a, b = self, other
-        if a.data.ndim < 2 or b.data.ndim < 2:
+        if self.data.ndim < 2 or other.data.ndim < 2:
             raise DimensionError("matmul requires tensors with ndim >= 2")
-        if a.data.shape[-1] != b.data.shape[-2]:
+        if self.data.shape[-1] != other.data.shape[-2]:
             raise DimensionError(
-                f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
-
-        return Tensor._result(a.data @ b.data, (a, b), backward)
+                f"matmul inner dims disagree: {self.data.shape} @ {other.data.shape}")
+        return Tensor._node(
+            self.data @ other.data,
+            (self, lambda g: _unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape)),
+            (other, lambda g: _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape)))
 
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        a = self
-        old = a.data.shape
-
-        def backward(g):
-            a._accum(g.reshape(old))
-
-        return Tensor._result(a.data.reshape(shape), (a,), backward)
+        old = self.data.shape
+        return Tensor._node(self.data.reshape(shape), (self, lambda g: g.reshape(old)))
 
     def transpose(self, *axes):
-        a = self
         inv = np.argsort(axes)
-
-        def backward(g):
-            a._accum(g.transpose(inv))
-
-        return Tensor._result(a.data.transpose(axes), (a,), backward)
+        return Tensor._node(self.data.transpose(axes), (self, lambda g: g.transpose(inv)))
 
     @property
     def T(self):
@@ -253,31 +229,28 @@ class Tensor:
         return self.transpose(1, 0)
 
     def __getitem__(self, key):
-        a = self
         # an int, a slice or a tuple of these selects each element at most once
         basic = all(isinstance(k, (int, np.integer, slice)) and not isinstance(k, bool)
                     for k in (key if isinstance(key, tuple) else (key,)))
 
-        def backward(g):
-            full = np.zeros_like(a.data)
+        def grad(g):
+            full = np.zeros_like(self.data)
             if basic:
                 full[key] = g
             else:
                 np.add.at(full, key, g)
-            a._accum(full)
+            return full
 
-        return Tensor._result(a.data[key], (a,), backward)
+        return Tensor._node(self.data[key], (self, grad))
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        a = self
-
-        def backward(g):
+        def grad(g):
             gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(gg, a.data.shape))
+            return np.broadcast_to(gg, self.data.shape)
 
-        return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+        return Tensor._node(self.data.sum(axis=axis, keepdims=keepdims), (self, grad))
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -289,52 +262,31 @@ class Tensor:
     # -- elementwise nonlinearities -------------------------------------------
 
     def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward(g):
-            a._accum(g * out_data)
-
-        return Tensor._result(out_data, (a,), backward)
+        out_data = np.exp(self.data)
+        return Tensor._node(out_data, (self, lambda g: g * out_data))
 
     def log(self):
-        a = self
-
-        def backward(g):
-            a._accum(g / a.data)
-
         with np.errstate(invalid="ignore", divide="ignore"):
-            out_data = np.log(a.data)
-        return Tensor._result(out_data, (a,), backward)
+            out_data = np.log(self.data)
+        return Tensor._node(out_data, (self, lambda g: g / self.data))
 
     def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def backward(g):
-            a._accum(g * 0.5 / out_data)
-
-        return Tensor._result(out_data, (a,), backward)
+        out_data = np.sqrt(self.data)
+        return Tensor._node(out_data, (self, lambda g: g * 0.5 / out_data))
 
     def relu(self):
-        a = self
-
-        def backward(g):
-            a._accum(g * (a.data > 0.0))
-
-        return Tensor._result(np.maximum(a.data, 0.0), (a,), backward)
+        return Tensor._node(np.maximum(self.data, 0.0), (self, lambda g: g * (self.data > 0.0)))
 
     def gelu(self):
-        a = self
-        cdf = erf(a.data * _INV_SQRT2)
+        cdf = erf(self.data * _INV_SQRT2)
         cdf += 1.0
         cdf *= 0.5
 
-        def backward(g):
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-            a._accum(g * (cdf + a.data * pdf))
+        def grad(g):
+            pdf = np.exp(-0.5 * self.data * self.data) * _INV_SQRT2PI
+            return g * (cdf + self.data * pdf)
 
-        return Tensor._result(a.data * cdf, (a,), backward)
+        return Tensor._node(self.data * cdf, (self, grad))
 
     # -- backward -------------------------------------------------------------
 
@@ -375,27 +327,19 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
-
-    return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis),
-                          tensors, backward)
+    edges = []
+    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        sl = [slice(None)] * t.data.ndim
+        sl[axis] = slice(lo, hi)
+        edges.append((t, lambda g, sl=tuple(sl): g[sl]))  # bound now, not at backward
+    return Tensor._node(np.concatenate([t.data for t in tensors], axis=axis), *edges)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max-subtraction) along `axis`."""
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     p = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        x._accum((g - (g * p).sum(axis=axis, keepdims=True)) * p)
-
-    return Tensor._result(p, (x,), backward)
+    return Tensor._node(p, (x, lambda g: (g - (g * p).sum(axis=axis, keepdims=True)) * p))
 
 
 def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
@@ -403,23 +347,21 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
     as one node. `logits` is (..., n), `targets` an int array of its leading
     shape and `weights` broadcasts to it. Only the probabilities are kept:
     the backward is ``g * weights * (probs - onehot)``."""
-    a = logits
-    z = a.data.reshape(-1, a.data.shape[-1])
+    z = logits.data.reshape(-1, logits.data.shape[-1])
     hit = np.arange(len(z)), np.asarray(targets, dtype=np.int64).reshape(-1)
-    w = np.broadcast_to(weights, a.data.shape[:-1]).reshape(-1)
+    w = np.broadcast_to(weights, logits.data.shape[:-1]).reshape(-1)
     probs = z - z.max(axis=-1, keepdims=True)  # log-sum-exp shift
     picked = probs[hit]
     np.exp(probs, out=probs)
     total = probs.sum(axis=-1)
     probs /= total[:, None]
 
-    def backward(g):
+    def dlogits(g):
         grad = probs * (g * w)[:, None]
         grad[hit] -= g * w
-        a._accum(grad.reshape(a.data.shape))
+        return grad.reshape(logits.data.shape)
 
-    return Tensor._result(np.asarray((w * (np.log(total) - picked)).sum()),
-                          (a,), backward)
+    return Tensor._node(np.asarray((w * (np.log(total) - picked)).sum()), (logits, dlogits))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -434,16 +376,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     inv_std = (mean(xhat * xhat) + LN_EPS) ** -0.5
     xhat *= inv_std
 
-    def backward(g):
-        if gamma.requires_grad:
-            gamma._accum(_unbroadcast(g * xhat, gamma.data.shape))
-        if beta.requires_grad:
-            beta._accum(_unbroadcast(g, beta.data.shape))
-        if x.requires_grad:
-            gx = g * gamma.data
-            x._accum(inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)))
+    def dx(g):
+        gx = g * gamma.data
+        return inv_std * (gx - mean(gx) - xhat * mean(gx * xhat))
 
-    return Tensor._result(xhat * gamma.data + beta.data, (x, gamma, beta), backward)
+    return Tensor._node(xhat * gamma.data + beta.data, (x, dx),
+                        (gamma, lambda g: _unbroadcast(g * xhat, gamma.data.shape)),
+                        (beta, lambda g: _unbroadcast(g, beta.data.shape)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -456,16 +395,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out += b.data
 
-    def backward(g):
-        rows = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(x.data.reshape(-1, w.data.shape[0]).T @ rows)
-        if b is not None and b.requires_grad:
-            b._accum(rows.sum(axis=0))
-
-    return Tensor._result(out, (x, w) if b is None else (x, w, b), backward)
+    def rows(g):
+        return g.reshape(-1, g.shape[-1])
+    bias = () if b is None else ((b, lambda g: rows(g).sum(axis=0)),)
+    return Tensor._node(out, (x, lambda g: g @ w.data.T),
+                        (w, lambda g: x.data.reshape(-1, w.data.shape[0]).T @ rows(g)), *bias)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,

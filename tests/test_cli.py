@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -191,13 +192,20 @@ class TestTrain:
                    str(tmp_path / "nope.json"), "--out", str(tmp_path / "r")])
         assert rc == EXIT_USAGE
 
-    def test_bad_config_json(self, trained, tmp_path):
+    # json.loads raises RecursionError past Python's recursion limit, and a
+    # plain ValueError past its 4,300-digit integer limit
+    @pytest.mark.parametrize("text", [
+        "{not json", "[" * 100_000, '{"train": {"steps": ' + "1" * 5000 + "}}"],
+        ids=["not_json", "nested_too_deep", "integer_too_long"])
+    def test_bad_config_json(self, trained, tmp_path, capsys, text):
         ds, _, _ = trained
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         rc = main(["train", "--dataset", str(ds), "--config", str(bad),
                    "--out", str(tmp_path / "r")])
         assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("section,field,value", [
         ("model", "n_heads", 0), ("train", "eval_every", 0),
@@ -405,6 +413,20 @@ class TestCorruptCheckpointBytes:
         rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(bad)])
         assert rc == EXIT_DATA
         assert "header is not a JSON object" in capsys.readouterr().err
+
+    # written by hand: json.dumps cannot nest this deep or print this integer
+    @pytest.mark.parametrize("header", [b"[" * 100_000, b'{"step": ' + b"1" * 5000 + b"}"],
+                             ids=["nested_too_deep", "integer_too_long"])
+    def test_header_python_cannot_read_exits_2(self, trained, tmp_path, capsys, header):
+        ds, run, _ = trained
+        raw = (run / "final.ckpt").read_bytes()
+        rest = raw[12 + struct.unpack_from("<I", raw, 8)[0]:]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + rest)
+        rc = main(["eval", "--dataset", str(ds), "--checkpoint", str(bad)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "header is not JSON" in err and "Traceback" not in err
 
 
 def edit_checkpoint(src: Path, dst: Path, edit) -> Path:
@@ -647,6 +669,16 @@ MALFORMED_FIRST_LINE = {
         {**rec, "volume": "../other/00001.vol"}),
     "demographics_not_an_object": lambda rec: json.dumps({**rec, "demographics": [1]}),
     "volume_with_nul": lambda rec: json.dumps({**rec, "volume": "volumes/a\u0000b.vol"}),
+    # json.loads raises RecursionError, and a plain ValueError past the
+    # 4,300-digit integer limit
+    "nested_too_deep": lambda rec: "[" * 100_000,
+    "integer_too_long": lambda rec: '{"label": ' + "7" * 5000 + "}",
+    # textualizing would call int() on these
+    "nan_demographic": lambda rec: json.dumps({**rec, "demographics": {"age": math.nan}}),
+    "minus_infinity_demographic": lambda rec: json.dumps(
+        {**rec, "demographics": {"age": -math.inf}}),
+    "overflowing_lab_result": lambda rec: json.dumps(
+        {**rec, "lab_results": {"mmse": 0}}).replace('"mmse": 0', '"mmse": 1e400'),
 }
 
 

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter
 
@@ -312,3 +312,39 @@ class TestDiskFormat:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match="line 2"):
             load_dataset(manifest)
+
+
+class TestCorruptVolumeFuzz:
+    @pytest.fixture(scope="class")
+    def vol_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "x.vol"
+        write_volume(path, np.random.default_rng(0).normal(size=(3, 4, 5)))
+        return path
+
+    # ("byte", i, value) overwrites a byte, ("cut", n) truncates and ("u32",
+    # k, value) overwrites the version (k = 0) or a dimension; positions wrap
+    @settings(max_examples=200, deadline=None)
+    @given(edit=st.one_of(
+        st.tuples(st.just("byte"), st.integers(0, 2**10), st.integers(0, 255)),
+        st.tuples(st.just("cut"), st.integers(0, 2**10)),
+        st.tuples(st.just("u32"), st.integers(0, 3),
+                  st.one_of(st.integers(0, 8), st.integers(0, 2**32 - 1)))))
+    @example(edit=("u32", 1, 100_000))  # a header that claims more voxels than memory
+    @example(edit=("u32", 3, 0xFFFFFFFF))
+    def test_reads_or_raises_data_format_error(self, vol_path, edit):
+        raw = vol_path.read_bytes()
+        kind, *args = edit
+        if kind == "byte":
+            i = args[0] % len(raw)
+            raw = raw[:i] + bytes([args[1]]) + raw[i + 1:]
+        elif kind == "cut":
+            raw = raw[:args[0] % len(raw)]
+        else:
+            at = 4 + 4 * args[0]
+            raw = raw[:at] + struct.pack("<I", args[1]) + raw[at + 4:]
+        bad = vol_path.with_name("bad.vol")
+        bad.write_bytes(raw)
+        try:
+            read_volume(bad)
+        except DataFormatError:
+            pass

@@ -67,3 +67,22 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_one_owner_for_gradient_routing():
+    # ops hand (parent, gradient) edges to Tensor._node, which alone adds them
+    # into parents; attention keeps its own backward, because one tile loop
+    # yields dq, dk and dv together
+    tree = ast.parse((Path(alignfuse.__file__).parent / "tensor.py").read_text())
+    callers: dict[str, set[str]] = {"_accum": set(), "_result": set()}
+    for top in tree.body:
+        for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = f"{top.name}.{fn.name}" if isinstance(top, ast.ClassDef) else fn.name
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in callers):
+                    callers[node.func.attr].add(owner)
+    assert callers == {"_accum": {"Tensor._node", "Tensor.backward", "attention"},
+                       "_result": {"Tensor._node", "attention"}}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -449,6 +450,47 @@ class TestCrossEntropy:
         onehot = np.eye(n)[targets]
         np.testing.assert_allclose(x.grad, weights[:, None] * (np.exp(logp) - onehot),
                                    rtol=1e-12, atol=1e-12)
+
+
+# every op built through Tensor._node: its input shapes, and the op itself
+NODE_OPS = {
+    "add": ([(2, 3), (3,)], lambda a, b: a + b),
+    "mul": ([(2, 3), (2, 1)], lambda a, b: a * b),
+    "pow": ([(2, 3)], lambda a: a ** 3.0),
+    "matmul": ([(2, 3), (3, 4)], lambda a, b: a @ b),
+    "neg": ([(2, 3)], lambda a: -a),
+    "reshape": ([(2, 3)], lambda a: a.reshape(3, 2)),
+    "transpose": ([(2, 3)], lambda a: a.transpose(1, 0)),
+    "getitem": ([(2, 3)], lambda a: a[np.array([1, 0, 1])]),
+    "sum": ([(2, 3)], lambda a: a.sum(axis=0)),
+    "exp": ([(2, 3)], Tensor.exp),
+    "log": ([(2, 3)], Tensor.log),
+    "sqrt": ([(2, 3)], Tensor.sqrt),
+    "relu": ([(2, 3)], Tensor.relu),
+    "gelu": ([(2, 3)], Tensor.gelu),
+    "concat": ([(2, 3), (1, 3), (2, 3)], lambda *ts: concat(ts, axis=0)),
+    "softmax": ([(2, 3)], softmax),
+    "cross_entropy": ([(2, 3)], lambda a: cross_entropy(a, [0, 2], [0.5, 2.0])),
+    "layer_norm": ([(2, 3), (3,), (3,)], layer_norm),
+    "linear": ([(2, 3), (3, 4), (4,)], linear),
+}
+
+
+class TestNodeEdges:
+    @pytest.mark.parametrize("op", sorted(NODE_OPS))
+    def test_prev_lists_the_grad_inputs_in_argument_order(self, op):
+        shapes, f = NODE_OPS[op]
+        for needs in itertools.product([False, True], repeat=len(shapes)):
+            inputs = [Tensor(RngStream(i).uniform(0.5, 1.5, shape), requires_grad=need)
+                      for i, (shape, need) in enumerate(zip(shapes, needs))]
+            out = f(*inputs)
+            assert out._prev == tuple(t for t in inputs if t.requires_grad)
+            out.sum().backward()
+            for t in inputs:
+                if t.requires_grad:
+                    assert t.grad.shape == t.shape
+                else:
+                    assert t.grad is None
 
 
 class TestBackward:

@@ -1,8 +1,12 @@
 import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alignfuse import checkpoint as ckpt
 from alignfuse import tensor
@@ -528,3 +532,81 @@ class TestCheckpointing:
 
         assert log_b + log_c == log_a
         assert params_digest(model_c) == params_digest(model_a)
+
+
+@pytest.fixture(scope="module")
+def final_ckpt(tmp_path_factory):
+    """A tiny-config checkpoint saved after two steps."""
+    model, vocab, examples = tiny_setup(n=4)
+    cfg = TrainConfig(batch_size=4, steps=2, seed=0)
+    optim = AdamW(model.params, cfg)
+    train_steps(model, optim, examples, cfg)
+    path = tmp_path_factory.mktemp("fuzz") / "final.ckpt"
+    save_model_checkpoint(path, model, vocab, optim)
+    return path
+
+
+def u32_fields(raw: bytes) -> list[int]:
+    """Offsets of the u32 header length, blob counts, name lengths, ndims and
+    dimensions of checkpoint bytes `raw`, in file order."""
+    offsets, at = [8], 12 + struct.unpack_from("<I", raw, 8)[0]
+    for _ in range(2):  # the parameter and optimizer sections
+        offsets.append(at)
+        (count,), at = struct.unpack_from("<I", raw, at), at + 4
+        for _ in range(count):
+            offsets.append(at)
+            at += 4 + struct.unpack_from("<I", raw, at)[0]
+            (ndim,) = struct.unpack_from("<I", raw, at)
+            offsets += [at + 4 * i for i in range(ndim + 1)]
+            shape = struct.unpack_from(f"<{ndim}I", raw, at + 4)
+            at += 4 * (ndim + 1) + 8 * math.prod(shape)
+    return offsets
+
+
+def corrupt(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes `raw` after one edit: ("byte", i, value) overwrites a
+    byte, ("cut", n) truncates, ("u32", k, value) overwrites the k-th field of
+    `u32_fields`, ("header", text) replaces the JSON header and ("config",
+    key, value) one model_config entry of it. Positions wrap around."""
+    kind, *args = edit
+    if kind == "byte":
+        i = args[0] % len(raw)
+        return raw[:i] + bytes([args[1]]) + raw[i + 1:]
+    if kind == "cut":
+        return raw[:args[0] % len(raw)]
+    if kind == "u32":
+        fields = u32_fields(raw)
+        at = fields[args[0] % len(fields)]
+        return raw[:at] + struct.pack("<I", args[1]) + raw[at + 4:]
+    end = 12 + struct.unpack_from("<I", raw, 8)[0]
+    if kind == "config":
+        header = json.loads(raw[12:end])
+        header["model_config"][args[0]] = args[1]
+        args = [json.dumps(header, sort_keys=True).encode()]
+    return raw[:8] + struct.pack("<I", len(args[0])) + args[0] + raw[end:]
+
+
+CHECKPOINT_EDITS = st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 2**20), st.integers(0, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 2**20)),
+    st.tuples(st.just("u32"), st.integers(0, 2**10),
+              st.one_of(st.integers(0, 80), st.integers(0, 2**32 - 1))))
+
+
+class TestCorruptCheckpointFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(edit=CHECKPOINT_EDITS)
+    # sizes above the address space or the file, and JSON that Python cannot read
+    @example(edit=("u32", 4, 0xFFFFFFF0))  # the first blob's first dimension
+    @example(edit=("u32", 960, 21))  # a rank-21 blob with a zero and huge dimensions
+    @example(edit=("config", "l_max", 10**12))
+    @example(edit=("config", "n_enc_layers", 10**6))
+    @example(edit=("header", b"[" * 100_000))
+    @example(edit=("header", b'{"step": ' + b"1" * 5000 + b"}"))
+    def test_loads_or_raises_checkpoint_error(self, final_ckpt, edit):
+        bad = final_ckpt.with_name("bad.ckpt")
+        bad.write_bytes(corrupt(final_ckpt.read_bytes(), edit))
+        try:
+            load_model_checkpoint(bad, TrainConfig())
+        except CheckpointError:
+            pass
