@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,8 +33,8 @@ from .errors import (
     NumericError,
     VocabError,
 )
-from .model import AlignFuseModel, ModelConfig
-from .tensor import no_grad
+from .model import AlignFuseModel, ModelConfig, param_specs
+from .tensor import RngStream, no_grad
 from .train import (
     PREDICT_CHUNK,
     AdamW,
@@ -149,16 +150,25 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def build_model(model_cfg: ModelConfig, train_cfg: TrainConfig) -> tuple[AlignFuseModel, AdamW]:
+    """A freshly drawn model and its optimizer; sizes that cannot be
+    allocated raise ConfigError naming the parameter count."""
+    try:
+        model = AlignFuseModel(model_cfg, seed=train_cfg.seed)
+        return model, AdamW(model.params, train_cfg)
+    except MemoryError:
+        count = sum(math.prod(shape) for _, shape, _ in param_specs(model_cfg, RngStream(0)))
+        raise ConfigError(f"a model of {count:,} parameters does not fit in memory") from None
+
+
 def cmd_train(args) -> int:
     model_cfg, train_cfg = load_run_config(args.config, args.seed)
+    model, optim = build_model(model_cfg, train_cfg)
     records = load_dataset(Path(args.dataset))
     vocab = build_vocab(dataset_corpus(records), max_size=model_cfg.vocab_size)
     examples = prepare_examples(records, vocab, model_cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    model = AlignFuseModel(model_cfg, seed=train_cfg.seed)
-    optim = AdamW(model.params, train_cfg)
 
     write_run_manifest(out_dir, args.dataset, model_cfg, train_cfg)
 

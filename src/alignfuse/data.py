@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import zoom
 
 from .errors import DataFormatError, DimensionError, VocabError
 from .tensor import RngStream
@@ -119,9 +118,25 @@ class Vocab:
 # volumes
 
 
+def resample_matrix(side: int, target_side: int) -> np.ndarray:
+    """(target_side, side) linear interpolation weights along one axis, with
+    the coordinates of ``scipy.ndimage.zoom(order=1, grid_mode=True,
+    mode="nearest")``: output k reads input (k + 0.5) * side/target_side - 0.5,
+    clamped to the edge voxels."""
+    cc = np.clip((np.arange(target_side) + 0.5) * (side / target_side) - 0.5, 0, side - 1)
+    lo = np.floor(cc).astype(np.intp)
+    t = cc - lo
+    rows = np.arange(target_side)
+    m = np.zeros((target_side, side))
+    m[rows, lo] = 1 - t
+    m[rows, np.minimum(lo + 1, side - 1)] += t
+    return m
+
+
 def normalize_volume(raw: np.ndarray, target_side: int) -> np.ndarray:
     """Zero-pad to a cube, trilinearly resample to target_side^3, scale to [0,1].
 
+    The resample is separable: one GEMM with `resample_matrix` per axis.
     A constant-intensity volume maps to all zeros.
     """
     raw = np.asarray(raw, dtype=np.float64)
@@ -134,10 +149,10 @@ def normalize_volume(raw: np.ndarray, target_side: int) -> np.ndarray:
     if hi == lo:
         return np.zeros((target_side, target_side, target_side))
     if side != target_side:
-        factor = target_side / side
-        padded = zoom(padded, factor, order=1, grid_mode=True, mode="nearest")
-        # zoom can over/undershoot the requested size by one voxel
-        padded = padded[:target_side, :target_side, :target_side]
+        m = resample_matrix(side, target_side).T
+        for _ in range(3):  # contract the leading axis; the resampled one comes last
+            padded = padded.reshape(side, -1).T @ m
+        padded = padded.reshape(target_side, target_side, target_side)
     lo, hi = padded.min(), padded.max()
     if hi == lo:
         return np.zeros((target_side, target_side, target_side))

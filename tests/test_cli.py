@@ -2,8 +2,11 @@ import hashlib
 import json
 import math
 import os
+import resource
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +248,24 @@ class TestTrain:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    def test_unallocatable_model_is_a_config_error(self, trained, tmp_path):
+        # d_model = 10^12 passes every field check; drawing its first weight
+        # asks for 3.64 PiB, refused here by a 4 GB address-space limit
+        ds, _, _ = trained
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": {"d_model": 10 ** 12}}))
+        limit = 4 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "alignfuse.cli", "train", "--dataset", str(ds),
+             "--config", str(bad), "--out", str(tmp_path / "r")],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert "config error:" in proc.stderr and "parameters" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("raw", [{"model": None}, {"train": "x"}, {"train": []}],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.ndimage import gaussian_filter
+from scipy.ndimage import gaussian_filter, zoom
 
 from alignfuse import data
 from alignfuse.data import (
@@ -70,6 +70,46 @@ class TestNormalizeVolume:
     def test_rejects_non_3d(self):
         with pytest.raises(DimensionError):
             normalize_volume(np.zeros((4, 4)), 8)
+
+
+def zoom_normalize(raw: np.ndarray, target_side: int) -> np.ndarray:
+    """normalize_volume with scipy's zoom as the resample: the oracle."""
+    side = max(raw.shape)
+    padded = np.zeros((side, side, side))
+    padded[: raw.shape[0], : raw.shape[1], : raw.shape[2]] = raw
+    if padded.max() == padded.min():
+        return np.zeros((target_side,) * 3)
+    out = zoom(padded, target_side / side, order=1, grid_mode=True, mode="nearest")
+    out = out[:target_side, :target_side, :target_side]
+    lo, hi = out.min(), out.max()
+    return np.zeros_like(out) if hi == lo else (out - lo) / (hi - lo)
+
+
+class TestResample:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 70)] * 3),
+           target=st.sampled_from([1, 2, 4, 8, 16, 32, 64]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_zoom(self, shape, target, seed):
+        raw = np.random.Generator(np.random.PCG64(seed)).uniform(0, 1, shape)
+        out = normalize_volume(raw, target)
+        assert out.shape == (target,) * 3
+        np.testing.assert_allclose(out, zoom_normalize(raw, target), rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(side=st.integers(1, 70), target=st.integers(1, 70))
+    def test_rows_sum_to_one(self, side, target):
+        m = data.resample_matrix(side, target)
+        assert m.shape == (target, side)
+        assert np.all(np.abs(m.sum(axis=1) - 1.0) <= np.spacing(1.0))
+
+    @pytest.mark.parametrize("shape", [(12, 5, 9), (3, 12, 12), (12, 12, 12)])
+    def test_target_side_equal_to_padded_side_is_not_resampled(self, shape):
+        raw = np.random.Generator(np.random.PCG64(1)).uniform(-2, 3, shape)
+        padded = np.zeros((12, 12, 12))
+        padded[: shape[0], : shape[1], : shape[2]] = raw
+        lo, hi = padded.min(), padded.max()
+        assert np.array_equal(normalize_volume(raw, 12), (padded - lo) / (hi - lo))
+        assert np.array_equal(data.resample_matrix(12, 12), np.eye(12))
 
 
 class TestPatchify:

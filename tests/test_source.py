@@ -69,6 +69,19 @@ def test_cli_import_leaves_scipy_stats_out():
     assert out == "[]\n"
 
 
+def test_scipy_use_is_scipy_special_alone():
+    # numpy and scipy are the runtime dependencies; the package takes erf
+    # from scipy and nothing else (the volume resample is numpy GEMMs)
+    modules = set()
+    for _, node in package_nodes():
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.update(f"{node.module}.{a.name}" if node.module == "scipy" else node.module
+                           for a in node.names)
+    assert {m for m in modules if m.split(".")[0] == "scipy"} == {"scipy.special"}
+
+
 def test_one_owner_for_gradient_routing():
     # ops hand (parent, gradient) edges to Tensor._node, which alone adds them
     # into parents; attention keeps its own backward, because one tile loop
