@@ -167,6 +167,7 @@ def cmd_train(args) -> int:
     records = load_dataset(Path(args.dataset))
     vocab = build_vocab(dataset_corpus(records), max_size=model_cfg.vocab_size)
     examples = prepare_examples(records, vocab, model_cfg)
+    del records  # the raw volumes are not read again: free them for the run
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

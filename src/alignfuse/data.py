@@ -137,26 +137,28 @@ def normalize_volume(raw: np.ndarray, target_side: int) -> np.ndarray:
     """Zero-pad to a cube, trilinearly resample to target_side^3, scale to [0,1].
 
     The resample is separable: one GEMM with `resample_matrix` per axis.
-    A constant-intensity volume maps to all zeros.
+    The pad is implied, not built: each axis of length n is contracted with
+    the matrix's first n columns, since the pad's zeros add nothing to the
+    sums. A constant-intensity volume maps to all zeros.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.size == 0:
         raise DimensionError("expected a nonempty 3-D volume")
     side = max(raw.shape)
-    padded = np.zeros((side, side, side))
-    padded[: raw.shape[0], : raw.shape[1], : raw.shape[2]] = raw
-    lo, hi = padded.min(), padded.max()
+    lo, hi = raw.min(), raw.max()
+    if min(raw.shape) < side:  # the pad's zeros count in the range
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
     if hi == lo:
         return np.zeros((target_side, target_side, target_side))
-    if side != target_side:
-        m = resample_matrix(side, target_side).T
-        for _ in range(3):  # contract the leading axis; the resampled one comes last
-            padded = padded.reshape(side, -1).T @ m
-        padded = padded.reshape(target_side, target_side, target_side)
-    lo, hi = padded.min(), padded.max()
+    m = resample_matrix(side, target_side).T
+    vol = raw
+    for n in raw.shape:  # contract the leading axis; the resampled one comes last
+        vol = vol.reshape(n, -1).T @ m[:n]
+    vol = vol.reshape(target_side, target_side, target_side)
+    lo, hi = vol.min(), vol.max()
     if hi == lo:
         return np.zeros((target_side, target_side, target_side))
-    return (padded - lo) / (hi - lo)
+    return (vol - lo) / (hi - lo)
 
 
 def patchify(volume: np.ndarray, patch_size: int) -> PatchGrid:

@@ -21,7 +21,6 @@ from .data import Batch, PatchGrid, TokenSequence, validate_ids
 from .errors import ConfigError, DimensionError, check_fields
 from .tensor import (
     LN_EPS,
-    NEG_MASK_BIAS,
     RngStream,
     Tensor,
     attention,
@@ -92,14 +91,6 @@ class ForwardOutputs:
     recon_text_logits: Tensor  # (B, L, vocab); column 0 unused by the loss
     masked_patches: np.ndarray  # (B, P) bool, patches replaced by the mask
     masked_tokens: np.ndarray   # (B, L) bool, real tokens only, never [CLS]
-
-
-def _attn_bias(pad_mask: np.ndarray | None) -> np.ndarray | None:
-    """Additive (B, 1, 1, N) key bias excluding pad positions from
-    attention; None when no row has a pad."""
-    if pad_mask is None or pad_mask.all():
-        return None
-    return np.where(pad_mask, 0.0, NEG_MASK_BIAS)[:, None, None, :]
 
 
 def param_specs(config: ModelConfig, rng: RngStream):
@@ -173,32 +164,34 @@ class AlignFuseModel:
     def _ln(self, name: str, x: Tensor) -> Tensor:
         return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
 
-    def _attention(self, name: str, x_q: Tensor, x_kv: Tensor, key_bias: np.ndarray | None,
+    def _attention(self, name: str, x_q: Tensor, x_kv: Tensor, pad_mask: np.ndarray | None,
                    record: list | None = None) -> Tensor:
-        """Multi-head attention of (B, Nq, d) queries over (B, Nkv, d) keys."""
+        """Multi-head attention of (B, Nq, d) queries over (B, Nkv, d) keys,
+        of which `pad_mask` (B, Nkv) marks the real ones."""
         q = self._linear(f"{name}.wq", x_q)
         k = self._linear(f"{name}.wk", x_kv)
         v = self._linear(f"{name}.wv", x_kv)
-        return self._linear(f"{name}.wo", attention(q, k, v, self.config.n_heads, key_bias, record))
+        return self._linear(f"{name}.wo", attention(q, k, v, self.config.n_heads, pad_mask, record))
 
     def _ffn(self, name: str, x: Tensor) -> Tensor:
         return self._linear(f"{name}.l2", self._linear(f"{name}.l1", x).gelu())
 
-    def _block(self, x: Tensor, name: str, bias: np.ndarray | None,
-               ctx: Tensor | None = None, ctx_bias: np.ndarray | None = None,
+    def _block(self, x: Tensor, name: str, pad_mask: np.ndarray | None,
+               ctx: Tensor | None = None, ctx_pad_mask: np.ndarray | None = None,
                record: list | None = None, cls_only: bool = False) -> Tensor:
         """One pre-norm block on (B, N, d) rows: self-attention, then (with
         `ctx`) cross-attention into ctx through the `<m>.ca.<i>` weights of
-        block `<m>.enc.<i>`, then FFN, each with a residual. With `cls_only`
-        only row 0 queries and comes out, (B, 1, d); keys and values still
-        span every row."""
+        block `<m>.enc.<i>`, then FFN, each with a residual. The (B, N) and
+        (B, Nctx) masks of real rows leave the pads of `x` and `ctx` out as
+        keys. With `cls_only` only row 0 queries and comes out, (B, 1, d);
+        keys and values still span every row."""
         h = q = self._ln(f"{name}.ln1", x)
         if cls_only:
             x, q = x[:, :1], h[:, :1]
-        x = x + self._attention(f"{name}.sa", q, h, bias, record)
+        x = x + self._attention(f"{name}.sa", q, h, pad_mask, record)
         if ctx is not None:
             ca = name.replace(".enc.", ".ca.")
-            x = x + self._attention(ca, self._ln(f"{ca}.ln", x), ctx, ctx_bias)
+            x = x + self._attention(ca, self._ln(f"{ca}.ln", x), ctx, ctx_pad_mask)
         return x + self._ffn(f"{name}.ffn", self._ln(f"{name}.ln2", x))
 
     # -- embedding ------------------------------------------------------------
@@ -252,9 +245,8 @@ class AlignFuseModel:
     def encode_unimodal(self, h: Tensor, modality: str,
                         pad_mask: np.ndarray | None = None) -> Tensor:
         """Pre-norm SA + FFN stack on (B, N, d); pads excluded as keys."""
-        bias = _attn_bias(pad_mask)
         for i in range(self.config.n_enc_layers):
-            h = self._block(h, f"{modality}.enc.{i}", bias)
+            h = self._block(h, f"{modality}.enc.{i}", pad_mask)
         return h
 
     def encode_cls(self, h: Tensor, modality: str, pad_mask: np.ndarray | None = None,
@@ -263,12 +255,11 @@ class AlignFuseModel:
         block's output is read, so that block runs the [CLS] query alone (the
         class-attention layer of CaiT, Touvron et al., 2021). `record`
         receives that block's (B, h, 1, N) attention."""
-        bias = _attn_bias(pad_mask)
         n = self.config.n_enc_layers
         for i in range(n - 1):
-            h = self._block(h, f"{modality}.enc.{i}", bias)
+            h = self._block(h, f"{modality}.enc.{i}", pad_mask)
         if n:
-            h = self._block(h, f"{modality}.enc.{n - 1}", bias, record=record, cls_only=True)
+            h = self._block(h, f"{modality}.enc.{n - 1}", pad_mask, record=record, cls_only=True)
         return h[:, 0]
 
     def encode_grounded(self, h_masked: Tensor, z_other: Tensor, modality: str,
@@ -277,9 +268,8 @@ class AlignFuseModel:
         """Per block: shared SA, then cross-attention into the other
         modality's features, then shared FFN. Only the CA weights are
         specific to this path."""
-        bias, other_bias = _attn_bias(pad_mask), _attn_bias(other_pad_mask)
         for i in range(self.config.n_enc_layers):
-            h_masked = self._block(h_masked, f"{modality}.enc.{i}", bias, z_other, other_bias)
+            h_masked = self._block(h_masked, f"{modality}.enc.{i}", pad_mask, z_other, other_pad_mask)
         return h_masked
 
     def decode_modality(self, z_grounded: Tensor, modality: str,
@@ -287,9 +277,8 @@ class AlignFuseModel:
         """SA + FFN decoder stack and linear head on every row: output row j
         reconstructs sequence position j. Row 0 ([CLS]) is never a
         reconstruction target."""
-        bias = _attn_bias(pad_mask)
         for i in range(self.config.n_dec_layers):
-            z_grounded = self._block(z_grounded, f"{modality}.dec.{i}", bias)
+            z_grounded = self._block(z_grounded, f"{modality}.dec.{i}", pad_mask)
         return self._linear(f"{modality}.dec.head", z_grounded)
 
     # -- fusion ---------------------------------------------------------------
@@ -377,7 +366,7 @@ class AlignFuseModel:
                         record=rec_txt)
         img = rec_img[0][:, :, 0, 1:].mean(axis=1)  # drop [CLS] key
         txt = np.zeros((len(batch.ids), self.config.l_max))
-        # pad keys already hold exactly 0: the -1e30 bias underflows in exp
+        # pad keys already hold exactly 0: attention leaves them out
         txt[:, 1:batch.ids.shape[1]] = rec_txt[0][:, :, 0, 1:].mean(axis=1)
         txt[txt.sum(axis=1) == 0, 0] = 1.0
         return ((img / img.sum(axis=1, keepdims=True)).reshape(-1, g, g, g),

@@ -403,19 +403,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              key_bias: np.ndarray | None = None, record: list | None = None) -> Tensor:
-    """Multi-head ``softmax(q·kᵀ/√d_h + key_bias)·v`` of (B, Nq, d) queries
-    over (B, Nkv, d) keys and values as one node. `key_bias` broadcasts to the
-    (B, h, Nq, Nkv) scores. The B·h head slices run in tiles whose scores fit
-    ``ATTENTION_TILE_BYTES``. When one tile covers the node, or `record` takes
-    the (B, h, Nq, Nkv) probabilities, the backward keeps them; otherwise it
-    keeps none and recomputes each tile's (FlashAttention's trade, Dao et al.,
-    2022). Both passes compute probabilities with the same operations, so the
-    two ways give the same bits."""
+              key_mask: np.ndarray | None = None, record: list | None = None) -> Tensor:
+    """Multi-head ``softmax(q·kᵀ/√d_h)·v`` of (B, Nq, d) queries over
+    (B, Nkv, d) keys and values as one node. `key_mask`, the (B, Nkv) bool
+    mask of real keys, leaves out the pads: their scores get ``NEG_MASK_BIAS``,
+    so beside a real key their probabilities are exactly 0. The B·h head
+    slices run in tiles whose scores fit ``ATTENTION_TILE_BYTES``. When one
+    tile covers the node, or `record` takes the (B, h, Nq, Nkv)
+    probabilities, the backward keeps them; otherwise it keeps none and
+    recomputes each tile's (FlashAttention's trade, Dao et al., 2022). Both
+    passes compute probabilities with the same operations, so the two ways
+    give the same bits."""
     (b, n_q, d), n_kv = q.data.shape, k.data.shape[1]
-    if d % n_heads or k.data.shape != (b, n_kv, d) or v.data.shape != k.data.shape:
+    if d % n_heads or k.data.shape != (b, n_kv, d) or v.data.shape != k.data.shape or (
+            key_mask is not None and np.shape(key_mask) != (b, n_kv)):
         raise DimensionError(f"attention of {q.data.shape} over {k.data.shape} keys and "
-                             f"{v.data.shape} values in {n_heads} heads")
+                             f"{v.data.shape} values in {n_heads} heads, key mask "
+                             f"{np.shape(key_mask)}")
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
     bh = b * n_heads
@@ -426,14 +430,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     def merge(a):  # (B·h, N, d_h) -> (B, N, d)
         return a.reshape(b, n_heads, -1, dh).transpose(0, 2, 1, 3).reshape(b, -1, d)
     qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
-    if key_bias is not None:  # one (Nq or 1, Nkv or 1) bias per head slice
-        shape = np.broadcast_shapes(np.shape(key_bias), (b, n_heads, 1, 1))
-        key_bias = np.broadcast_to(key_bias, shape).reshape(bh, *shape[2:])
+    bias = None
+    if key_mask is not None and not key_mask.all():  # one (1, Nkv) row per head slice
+        bias = np.repeat(np.where(key_mask, 0.0, NEG_MASK_BIAS), n_heads, axis=0)[:, None]
 
     def probabilities(t):
         p = qh[t] @ kh[t].swapaxes(-1, -2)
-        if key_bias is not None:
-            p += key_bias[t]
+        if bias is not None:
+            p += bias[t]
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)

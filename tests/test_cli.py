@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +301,29 @@ class TestTrain:
         assert main(["train", "--dataset", str(ds), "--config", str(path),
                      "--out", str(tmp_path / "r")]) == EXIT_OK
         assert len(counted) == calls
+
+    def test_raw_records_are_freed_before_training(self, trained, tmp_path, monkeypatch):
+        # the raw volumes are read only to build the examples and the vocabulary
+        ds, _, cfg = trained
+        loaded, live = [], []
+        load_dataset, train_steps = cli.load_dataset, cli.train_steps
+
+        def watched_load(path):
+            records = load_dataset(path)
+            loaded.extend(weakref.ref(rec) for rec in records)
+            return records
+
+        def counting_steps(*args, **kwargs):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in loaded))
+            return train_steps(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", watched_load)
+        monkeypatch.setattr(cli, "train_steps", counting_steps)
+        assert main(["train", "--dataset", str(ds), "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == EXIT_OK
+        assert len(loaded) == 12
+        assert live == [0] * TINY_CFG["train"]["steps"]
 
     def test_failed_summary_write_keeps_the_old_summary(self, trained, tmp_path,
                                                          monkeypatch, capsys):

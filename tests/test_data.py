@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ class TestResample:
         lo, hi = padded.min(), padded.max()
         assert np.array_equal(normalize_volume(raw, 12), (padded - lo) / (hi - lo))
         assert np.array_equal(data.resample_matrix(12, 12), np.eye(12))
+
+    def test_flat_volume_builds_no_cube(self):
+        # zero-padded to a cube, this volume would take 5000³ float64s (1 TB)
+        raw = np.random.Generator(np.random.PCG64(2)).uniform(0, 1, (1, 1, 5000))
+        tracemalloc.start()
+        try:
+            out = normalize_volume(raw, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        # every sample point of the two short axes lies in the pad
+        assert np.array_equal(out, np.zeros((32, 32, 32)))
 
 
 class TestPatchify:

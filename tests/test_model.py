@@ -17,7 +17,7 @@ from alignfuse.data import (
 )
 from alignfuse.errors import ConfigError, DimensionError, VocabError
 from alignfuse.model import FFN_MULT, AlignFuseModel, ModelConfig, param_specs
-from alignfuse.tensor import NEG_MASK_BIAS, RngStream, Tensor, finite_diff_check
+from alignfuse.tensor import RngStream, Tensor, finite_diff_check
 
 
 def tiny_config(**kw):
@@ -49,10 +49,9 @@ def full_encoder(model, h, modality, pad_mask=None):
     """Oracle of the [CLS]-only inference path: every unimodal block on every
     row. Returns the (B, N, d) output and each block's recorded (B, h, N, N)
     attention probabilities."""
-    bias = None if pad_mask is None else np.where(pad_mask, 0.0, NEG_MASK_BIAS)[:, None, None, :]
     rec = []
     for i in range(model.config.n_enc_layers):
-        h = model._block(h, f"{modality}.enc.{i}", bias, record=rec)
+        h = model._block(h, f"{modality}.enc.{i}", pad_mask, record=rec)
     return h, rec
 
 

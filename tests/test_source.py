@@ -99,3 +99,12 @@ def test_one_owner_for_gradient_routing():
                     callers[node.func.attr].add(owner)
     assert callers == {"_accum": {"Tensor._node", "Tensor.backward", "attention"},
                        "_result": {"Tensor._node", "attention"}}
+
+
+def test_pad_bias_has_one_owner():
+    # attention alone turns a (B, Nkv) key mask into scores: no other module
+    # builds, imports or names the pad bias
+    owners = {name for name, node in package_nodes()
+              if isinstance(node, ast.Name) and node.id == "NEG_MASK_BIAS"
+              or isinstance(node, ast.alias) and node.name == "NEG_MASK_BIAS"}
+    assert owners == {"tensor.py"}

@@ -52,22 +52,20 @@ def linear_composition(x, w, b=None):
     return x @ w if b is None else x @ w + b
 
 
-def attention_composition(q, k, v, n_heads, key_bias=None):
+def attention_composition(q, k, v, n_heads, key_mask=None):
     """Multi-head attention as the reshape, transpose, scale, matmul and
-    softmax nodes that the one-node `attention` replaced: the oracle for its
+    softmax nodes that the one-node `attention` replaced, with pad keys of
+    the (B, Nkv) `key_mask` under a (B, 1, 1, Nkv) bias: the oracle for its
     values and gradients."""
     (b, n_q, d), n_kv = q.shape, k.shape[1]
     dh = d // n_heads
     qh = (q * (1.0 / math.sqrt(dh))).reshape(b, n_q, n_heads, dh).transpose(0, 2, 1, 3)
     kt = k.reshape(b, n_kv, n_heads, dh).transpose(0, 2, 3, 1)
     vh = v.reshape(b, n_kv, n_heads, dh).transpose(0, 2, 1, 3)
-    att = softmax(qh @ kt if key_bias is None else qh @ kt + key_bias, axis=-1)
-    return (att @ vh).transpose(0, 2, 1, 3).reshape(b, n_q, d)
-
-
-def pad_bias(real: np.ndarray) -> np.ndarray:
-    """(B, 1, 1, N) key bias from a (B, N) mask of real keys."""
-    return np.where(real, 0.0, NEG_MASK_BIAS)[:, None, None, :]
+    scores = qh @ kt
+    if key_mask is not None:
+        scores = scores + np.where(key_mask, 0.0, NEG_MASK_BIAS)[:, None, None, :]
+    return (softmax(scores, axis=-1) @ vh).transpose(0, 2, 1, 3).reshape(b, n_q, d)
 
 
 def node_and_oracle_grads(node, oracle, inputs, w):
@@ -280,11 +278,30 @@ class TestAttention:
         with pytest.raises(DimensionError):
             attention(q, k, v, n_heads)
 
+    def test_key_mask_of_other_shape(self):
+        q, k, v = (rand_tensor((2, 3, 4), seed=s) for s in range(3))
+        for real in (np.ones((2, 4), dtype=bool), np.ones((1, 3), dtype=bool)):
+            with pytest.raises(DimensionError):
+                attention(q, k, v, 2, real)
+
+    def test_all_real_mask_gives_the_unmasked_bits(self):
+        q, k, v = (rand_tensor((2, 3, 4), seed=s) for s in range(3))
+        g = rand_tensor((2, 3, 4), seed=3, requires_grad=False).data
+        runs = []
+        for real in (None, np.ones((2, 3), dtype=bool)):
+            leaves = [Tensor(t.data, requires_grad=True) for t in (q, k, v)]
+            rec = []
+            out = attention(*leaves, 2, real, rec)
+            out._backward(g)
+            runs.append([out.data, *rec, *(t.grad for t in leaves)])
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+
     def test_records_probabilities_with_pad_keys_at_zero(self):
         q, k, v = (rand_tensor((2, 5, 4), seed=s) for s in range(3))
         real = np.array([[True] * 5, [True, True, False, True, False]])
         rec = []
-        attention(q, k, v, 2, pad_bias(real), rec)
+        attention(q, k, v, 2, real, rec)
         (probs,) = rec
         assert probs.shape == (2, 2, 5, 5)
         assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9)
@@ -304,11 +321,11 @@ class TestAttention:
 
     def test_finite_differences(self):
         q, k, v = (rand_tensor((2, 3, 4), seed=s) for s in range(3))
-        bias = pad_bias(np.array([[True, True, True], [True, False, True]]))
+        real = np.array([[True, True, True], [True, False, True]])
         c = rand_tensor((2, 3, 4), seed=3, requires_grad=False)
-        assert finite_diff_check(lambda t: (attention(t, k, v, 2, bias) * c).sum(), q) < 1e-6
-        assert finite_diff_check(lambda t: (attention(q, t, v, 2, bias) * c).sum(), k) < 1e-6
-        assert finite_diff_check(lambda t: (attention(q, k, t, 2, bias) * c).sum(), v) < 1e-6
+        assert finite_diff_check(lambda t: (attention(t, k, v, 2, real) * c).sum(), q) < 1e-6
+        assert finite_diff_check(lambda t: (attention(q, t, v, 2, real) * c).sum(), k) < 1e-6
+        assert finite_diff_check(lambda t: (attention(q, k, t, 2, real) * c).sum(), v) < 1e-6
 
     @settings(max_examples=60, deadline=None)
     @given(b=st.integers(1, 3), n_q=st.integers(1, 5), n_kv=st.integers(1, 5),
@@ -320,27 +337,26 @@ class TestAttention:
         if shared:  # self-attention: one tensor is queries, keys and values
             n_kv = n_q
             inputs = [Tensor(rng.normal(size=(b, n_q, d)), requires_grad=True)]
-            node = lambda x: attention(x, x, x, n_heads, bias)
-            oracle = lambda x: attention_composition(x, x, x, n_heads, bias)
+            node = lambda x: attention(x, x, x, n_heads, real)
+            oracle = lambda x: attention_composition(x, x, x, n_heads, real)
         else:
             inputs = [Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
                       for n in (n_q, n_kv, n_kv)]
-            node = lambda q, k, v: attention(q, k, v, n_heads, bias)
-            oracle = lambda q, k, v: attention_composition(q, k, v, n_heads, bias)
-        bias = None
+            node = lambda q, k, v: attention(q, k, v, n_heads, real)
+            oracle = lambda q, k, v: attention_composition(q, k, v, n_heads, real)
+        real = None
         if pads:  # key 0 stays real, as [CLS] does
             real = rng.random((b, n_kv)) < 0.6
             real[:, 0] = True
-            bias = pad_bias(real)
         w = rng.uniform(0.5, 1.5, size=(b, n_q, d))
         assert_matches_oracle(node_and_oracle_grads(node, oracle, inputs, w))
 
-    def run_node(self, inputs, n_heads, bias, record, g):
+    def run_node(self, inputs, n_heads, real, record, g):
         """Output, input gradients and recorded probabilities of one node
         over fresh leaves of `inputs` (one array: shared self-attention)."""
         leaves = [Tensor(a, requires_grad=True) for a in inputs]
         rec = [] if record else None
-        out = attention(*(leaves * 3 if len(leaves) == 1 else leaves), n_heads, bias, rec)
+        out = attention(*(leaves * 3 if len(leaves) == 1 else leaves), n_heads, real, rec)
         out._backward(g)
         return [out.data, *(t.grad for t in leaves), *(rec or [])]
 
@@ -356,25 +372,24 @@ class TestAttention:
         d = n_heads * dh
         n_kv = n_q if shared else n_kv
         inputs = [rng.normal(size=(b, n, d)) for n in ((n_q,) if shared else (n_q, n_kv, n_kv))]
-        bias = None
+        real = None
         if pads:  # key 0 stays real, as [CLS] does
             real = rng.random((b, n_kv)) < 0.6
             real[:, 0] = True
-            bias = pad_bias(real)
         g = rng.normal(size=(b, n_q, d))
-        one_tile = self.run_node(inputs, n_heads, bias, record, g)
+        one_tile = self.run_node(inputs, n_heads, real, record, g)
         # fewer slices per tile than the node has, the last tile ragged when
         # they do not divide it, and budgets that are not a whole slice
         per_tile = data.draw(st.integers(1, b * n_heads - 1))
         slack = data.draw(st.integers(0, 8 * n_q * n_kv - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor, "ATTENTION_TILE_BYTES", per_tile * 8 * n_q * n_kv + slack)
-            tiled = self.run_node(inputs, n_heads, bias, record, g)
+            tiled = self.run_node(inputs, n_heads, real, record, g)
         assert len(tiled) == len(one_tile)
         for got, want in zip(tiled, one_tile):
             assert np.array_equal(got, want)
         leaves = [Tensor(a, requires_grad=True) for a in inputs]
-        out = attention_composition(*(leaves * 3 if shared else leaves), n_heads, bias)
+        out = attention_composition(*(leaves * 3 if shared else leaves), n_heads, real)
         (out * Tensor(g)).sum().backward()
         assert_matches_oracle([tiled[:1 + len(leaves)], [out.data, *(t.grad for t in leaves)]])
 
@@ -386,7 +401,7 @@ class TestAttention:
         # one head: the per-head k, v and g are views of the inputs; three tiles
         monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 8 * 4 * 4)
         q, k, v = (rand_tensor((3, 4, 3), seed=s) for s in range(3))
-        out = attention(q, k, v, 1, pad_bias(np.array([[True, False, True, True]] * 3)))
+        out = attention(q, k, v, 1, np.array([[True, False, True, True]] * 3))
         g = rand_tensor(out.shape, seed=4, requires_grad=False).data
         before = [a.copy() for a in (q.data, k.data, v.data, g)]
         for a in (q.data, k.data, v.data, g):
