@@ -34,7 +34,7 @@ from .errors import (
     VocabError,
 )
 from .model import AlignFuseModel, ModelConfig, param_specs
-from .tensor import RngStream, no_grad
+from .tensor import BLAS_THREADS, RngStream, no_grad
 from .train import (
     PREDICT_CHUNK,
     AdamW,
@@ -112,6 +112,15 @@ def load_run_config(config_path: str | None,
     return model_cfg, train_cfg
 
 
+def blas_build() -> dict | None:
+    """The BLAS entry of numpy's build configuration; None when this numpy
+    cannot report it."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+
+
 def write_run_manifest(out_dir: Path, dataset: str, model_cfg: ModelConfig,
                        train_cfg: TrainConfig) -> Path:
     ds = Path(dataset)
@@ -124,6 +133,8 @@ def write_run_manifest(out_dir: Path, dataset: str, model_cfg: ModelConfig,
         "model_config": model_cfg.to_dict(),
         "train_config": train_cfg.to_dict(),
         "checksums": {"dataset_manifest": sha256_file(mpath)},
+        # the bits of a run depend on the BLAS build and the kernel it picks
+        "blas": {"build": blas_build(), "threads": BLAS_THREADS},
     }
     path = out_dir / "run_manifest.json"
     with atomic_write(path) as fh:

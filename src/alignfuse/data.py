@@ -138,8 +138,13 @@ def normalize_volume(raw: np.ndarray, target_side: int) -> np.ndarray:
 
     The resample is separable: one GEMM with `resample_matrix` per axis.
     The pad is implied, not built: each axis of length n is contracted with
-    the matrix's first n columns, since the pad's zeros add nothing to the
-    sums. A constant-intensity volume maps to all zeros.
+    the matrix's first n rows, since the pad's zeros add nothing to the
+    sums. Output k of an axis reads input positions from the floor of its
+    sample point on, which grows with k, so only the first c outputs read
+    any of the n real positions; the rest lie wholly in the pad, stay 0 and
+    are not computed. At least 2 outputs are: BLAS takes a GEMM one column
+    wide through its GEMV path, whose sums round otherwise. A
+    constant-intensity volume maps to all zeros.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.size == 0:
@@ -151,10 +156,12 @@ def normalize_volume(raw: np.ndarray, target_side: int) -> np.ndarray:
     if hi == lo:
         return np.zeros((target_side, target_side, target_side))
     m = resample_matrix(side, target_side).T
-    vol = raw
-    for n in raw.shape:  # contract the leading axis; the resampled one comes last
-        vol = vol.reshape(n, -1).T @ m[:n]
-    vol = vol.reshape(target_side, target_side, target_side)
+    reach = [max(int(m[:n].any(axis=0).sum()), min(2, target_side)) for n in raw.shape]
+    part = raw
+    for n, c in zip(raw.shape, reach):  # contract the leading axis; its outputs come last
+        part = part.reshape(n, -1).T @ m[:n, :c]
+    vol = np.zeros((target_side, target_side, target_side))
+    vol[:reach[0], :reach[1], :reach[2]] = part.reshape(reach)
     lo, hi = vol.min(), vol.max()
     if hi == lo:
         return np.zeros((target_side, target_side, target_side))

@@ -9,8 +9,13 @@ the same tensor, which is what the weight-shared encoders rely on.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,10 +32,55 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # NaN/Inf guard stays active) but large enough that exp underflows to 0.
 NEG_MASK_BIAS = -1e30
 LN_EPS = 1e-5  # added to the layer-norm variance
-# Bytes of float64 scores that one attention tile of (batch, head) slices may
-# hold. A desk-sized node is one tile; a 513-token image node is several.
-# Node timings were the same from one to four 513-token slices per tile.
+# Bytes of float64 scores that one attention node may hold at once. A
+# desk-sized node is one tile; a 513-token image node is several, and the
+# tiles in flight on the workers share the budget. Node timings were the same
+# from one to four 513-token slices per tile.
 ATTENTION_TILE_BYTES = 8 << 20
+
+
+def _pin_blas_threads() -> int | None:
+    """Hold the OpenBLAS that numpy bundles at one thread for the whole
+    process, and return that count; None when no setter is found.
+
+    The thread count changes the bits of some GEMMs, and threaded BLAS
+    beside the tile workers oversubscribes the cores. The pin must last:
+    after a threaded GEMM OpenBLAS's own worker spins and takes a core from
+    them. (``openblas_set_num_threads_local`` is not thread-local in this
+    build, so it is not used.)"""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        setter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return 1
+    return None
+
+
+BLAS_THREADS = _pin_blas_threads()
+# Threads that run the tiles of one attention node: one per CPU this process
+# may use. Unpinned BLAS keeps threads of its own, and a pool beside them is
+# slower than none, so then the tiles run in the caller.
+TILE_WORKERS = len(os.sched_getaffinity(0)) if BLAS_THREADS == 1 else 1
+
+
+@functools.cache
+def _tile_pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="attention-tile")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_tile_pool.cache_clear)
+
+
+def _each_tile(body: Callable[[slice], None], tiles: list[slice]) -> None:
+    """Call ``body(t)`` for every tile, on the tile workers when there are
+    several of them and of the tiles, else in the caller. The first error a
+    tile raises comes out here; tiles not yet started are then cancelled."""
+    run = map if TILE_WORKERS == 1 or len(tiles) == 1 else _tile_pool(TILE_WORKERS).map
+    for _ in run(body, tiles):
+        pass
 
 
 @contextmanager
@@ -407,13 +457,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     """Multi-head ``softmax(q·kᵀ/√d_h)·v`` of (B, Nq, d) queries over
     (B, Nkv, d) keys and values as one node. `key_mask`, the (B, Nkv) bool
     mask of real keys, leaves out the pads: their scores get ``NEG_MASK_BIAS``,
-    so beside a real key their probabilities are exactly 0. The B·h head
-    slices run in tiles whose scores fit ``ATTENTION_TILE_BYTES``. When one
-    tile covers the node, or `record` takes the (B, h, Nq, Nkv)
-    probabilities, the backward keeps them; otherwise it keeps none and
-    recomputes each tile's (FlashAttention's trade, Dao et al., 2022). Both
-    passes compute probabilities with the same operations, so the two ways
-    give the same bits."""
+    so beside a real key their probabilities are exactly 0. When the scores of
+    all B·h head slices fit ``ATTENTION_TILE_BYTES``, or `record` takes the
+    (B, h, Nq, Nkv) probabilities, the node is one tile and the backward keeps
+    them. Otherwise the slices run in tiles on the ``TILE_WORKERS``, which
+    share the budget; the backward keeps only each row's max and sum and
+    recomputes the tile's probabilities (FlashAttention's trade, Dao et al.,
+    2022). Both passes compute probabilities with the same operations, and
+    each tile writes only its own slices, so every tiling gives the same
+    bits."""
     (b, n_q, d), n_kv = q.data.shape, k.data.shape[1]
     if d % n_heads or k.data.shape != (b, n_kv, d) or v.data.shape != k.data.shape or (
             key_mask is not None and np.shape(key_mask) != (b, n_kv)):
@@ -433,27 +485,35 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     bias = None
     if key_mask is not None and not key_mask.all():  # one (1, Nkv) row per head slice
         bias = np.repeat(np.where(key_mask, 0.0, NEG_MASK_BIAS), n_heads, axis=0)[:, None]
+    row_max, row_sum = np.empty((bh, n_q, 1)), np.empty((bh, n_q, 1))
 
-    def probabilities(t):
+    def probabilities(t, forward):
+        # the forward stores each row's max and sum; a recompute reuses them
         p = qh[t] @ kh[t].swapaxes(-1, -2)
         if bias is not None:
             p += bias[t]
-        p -= p.max(axis=-1, keepdims=True)
+        if forward:
+            np.max(p, axis=-1, keepdims=True, out=row_max[t])
+        p -= row_max[t]
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        if forward:
+            np.sum(p, axis=-1, keepdims=True, out=row_sum[t])
+        p /= row_sum[t]
         return p
 
-    per_tile = max(1, ATTENTION_TILE_BYTES // (8 * n_q * n_kv))
-    tiles = [slice(s, s + per_tile) for s in range(0, bh, per_tile)]
+    slice_bytes = 8 * n_q * n_kv
     probs = None
-    if len(tiles) == 1 or record is not None:
+    if record is not None or bh <= max(1, ATTENTION_TILE_BYTES // slice_bytes):
         tiles = [slice(None)]
-        probs = probabilities(tiles[0])
+        probs = probabilities(tiles[0], True)
         if record is not None:
             record.append(probs.reshape(b, n_heads, n_q, n_kv))
+    else:
+        per_tile = max(1, ATTENTION_TILE_BYTES // TILE_WORKERS // slice_bytes)
+        tiles = [slice(s, s + per_tile) for s in range(0, bh, per_tile)]
     heads = np.empty((bh, n_q, dh))
-    for t in tiles:
-        np.matmul(probabilities(t) if probs is None else probs, vh[t], out=heads[t])
+    _each_tile(lambda t: np.matmul(probabilities(t, True) if probs is None else probs,
+                                   vh[t], out=heads[t]), tiles)
     out = merge(heads)
 
     def backward(g):
@@ -463,8 +523,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         dot = dot.transpose(0, 2, 1).reshape(bh, n_q, 1)
         dq, dk, dv = (np.empty_like(a) if x.requires_grad else None
                       for a, x in ((qh, q), (kh, k), (vh, v)))
-        for t in tiles:
-            p = probabilities(t) if probs is None else probs
+
+        def tile(t):
+            p = probabilities(t, False) if probs is None else probs
             if dv is not None:
                 np.matmul(p.swapaxes(-1, -2), gh[t], out=dv[t])
             # softmax backward in dP's own buffer
@@ -475,7 +536,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                 np.matmul(ds, kh[t], out=dq[t])
             if dk is not None:
                 np.matmul(ds.swapaxes(-1, -2), qh[t], out=dk[t])
-            del p, ds  # free this tile's arrays before the next tile's exist
+
+        _each_tile(tile, tiles)
         if dv is not None:
             v._accum(merge(dv))
         if dq is not None:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from alignfuse import checkpoint as ckpt
-from alignfuse import cli
+from alignfuse import cli, tensor
 from alignfuse.cli import EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from alignfuse.data import load_dataset, read_volume, write_volume
 from alignfuse.errors import CheckpointError, NumericError
@@ -131,6 +131,39 @@ class TestTrain:
         assert manifest["train_config"]["steps"] == 3
         assert manifest["model_config"]["d_model"] == 8
         assert "dataset_manifest" in manifest["checksums"]
+
+    def test_run_manifest_records_the_blas(self, trained):
+        _, run, _ = trained
+        blas = json.loads((run / "run_manifest.json").read_text())["blas"]
+        assert blas["threads"] == tensor.BLAS_THREADS
+        assert blas["build"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+
+    @pytest.mark.skipif(tensor.BLAS_THREADS is None, reason="BLAS threads are not pinned")
+    def test_bits_hold_across_blas_threads_and_cpus(self, trained, tmp_path):
+        # desk-sized GEMMs, which OpenBLAS splits between its threads when it
+        # may; attention runs in tiles of a few head slices, on the tile
+        # workers when there is more than one CPU
+        ds, _, _ = trained
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"steps": 2, "batch_size": 8, "eval_every": 2}}))
+        child = ("import os, sys\n"
+                 "if sys.argv[1] == 'one_cpu':\n"
+                 "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                 "from alignfuse import cli, tensor\n"
+                 "tensor.ATTENTION_TILE_BYTES = 1 << 18\n"
+                 "sys.exit(cli.main(sys.argv[2:]))\n")
+        runs = []
+        for name, threads in (("one", "1"), ("two", "2"), ("one_cpu", None)):
+            env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            subprocess.run([sys.executable, "-c", child, name, "train", "--dataset", str(ds),
+                            "--config", str(cfg), "--out", str(tmp_path / name)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            runs.append([(tmp_path / name / out).read_bytes()
+                         for out in ("metrics.jsonl", "final.ckpt")])
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
     def test_rerun_is_bitwise_identical(self, trained, tmp_path):
         ds, run, cfg = trained

@@ -86,7 +86,38 @@ def zoom_normalize(raw: np.ndarray, target_side: int) -> np.ndarray:
     return np.zeros_like(out) if hi == lo else (out - lo) / (hi - lo)
 
 
+def full_width_normalize(raw: np.ndarray, target_side: int) -> np.ndarray:
+    """normalize_volume contracting every output column, those that sample
+    the pad alone included: the oracle for its bits."""
+    raw = np.asarray(raw, dtype=np.float64)
+    side = max(raw.shape)
+    lo, hi = raw.min(), raw.max()
+    if min(raw.shape) < side:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
+    if hi == lo:
+        return np.zeros((target_side, target_side, target_side))
+    m = data.resample_matrix(side, target_side).T
+    vol = raw
+    for n in raw.shape:
+        vol = vol.reshape(n, -1).T @ m[:n]
+    vol = vol.reshape(target_side, target_side, target_side)
+    lo, hi = vol.min(), vol.max()
+    if hi == lo:
+        return np.zeros((target_side, target_side, target_side))
+    return (vol - lo) / (hi - lo)
+
+
 class TestResample:
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 70)] * 3), target=st.integers(1, 40),
+           low=st.sampled_from([-1.0, 0.0, 0.5]), seed=st.integers(0, 2 ** 32 - 1))
+    @example(shape=(1, 1, 70), target=32, low=0.0, seed=0)
+    @example(shape=(3, 70, 20), target=16, low=-1.0, seed=1)
+    def test_skipped_pad_outputs_give_the_full_width_bits(self, shape, target, low, seed):
+        raw = np.random.Generator(np.random.PCG64(seed)).uniform(low, 1, shape)
+        assert normalize_volume(raw, target).tobytes() == \
+            full_width_normalize(raw, target).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(shape=st.tuples(*[st.integers(1, 70)] * 3),
            target=st.sampled_from([1, 2, 4, 8, 16, 32, 64]), seed=st.integers(0, 2 ** 32 - 1))
@@ -121,7 +152,8 @@ class TestResample:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 << 20
+        # contracting every output column peaked at 43.6 MB (5000·32²·8 bytes)
+        assert peak < 4 << 20
         # every sample point of the two short axes lies in the pad
         assert np.array_equal(out, np.zeros((32, 32, 32)))
 

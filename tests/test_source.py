@@ -108,3 +108,18 @@ def test_pad_bias_has_one_owner():
               if isinstance(node, ast.Name) and node.id == "NEG_MASK_BIAS"
               or isinstance(node, ast.alias) and node.name == "NEG_MASK_BIAS"}
     assert owners == {"tensor.py"}
+
+
+def test_threads_and_native_calls_live_in_tensor_alone():
+    # the BLAS pin and the attention tile workers are the engine's business
+    importers = set()
+    for name, node in package_nodes():
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""]
+        else:
+            continue
+        if any(m.split(".")[0] == "ctypes" or m.startswith("concurrent") for m in mods):
+            importers.add(name)
+    assert importers == {"tensor.py"}

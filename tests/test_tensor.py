@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -384,6 +386,7 @@ class TestAttention:
         slack = data.draw(st.integers(0, 8 * n_q * n_kv - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor, "ATTENTION_TILE_BYTES", per_tile * 8 * n_q * n_kv + slack)
+            mp.setattr(tensor, "TILE_WORKERS", data.draw(st.sampled_from([1, 2, 3])))
             tiled = self.run_node(inputs, n_heads, real, record, g)
         assert len(tiled) == len(one_tile)
         for got, want in zip(tiled, one_tile):
@@ -411,6 +414,49 @@ class TestAttention:
             assert np.array_equal(a, was)
         assert all(t.grad is not None for t in (q, k, v))
 
+    @pytest.mark.parametrize("fail_at", [1, 4], ids=["forward", "backward"])
+    def test_error_in_a_tile_comes_out_and_the_next_node_works(self, monkeypatch, fail_at):
+        # three one-slice tiles on two workers: the exps of calls 0-2 are the
+        # forward's, those of calls 3-5 the backward's recompute
+        monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 8 * 4 * 4)
+        monkeypatch.setattr(tensor, "TILE_WORKERS", 2)
+        q, k, v = (rand_tensor((3, 4, 2), seed=s) for s in range(3))
+        g = rand_tensor((3, 4, 2), seed=3, requires_grad=False).data
+        want = self.run_node([q.data, k.data, v.data], 1, None, False, g)
+
+        class TileError(Exception):
+            pass
+        calls, exp = itertools.count(), np.exp
+
+        def failing_exp(*args, **kwargs):
+            if next(calls) == fail_at:
+                raise TileError
+            return exp(*args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(TileError):
+            mp.setattr(np, "exp", failing_exp)
+            self.run_node([q.data, k.data, v.data], 1, None, False, g)
+        got = self.run_node([q.data, k.data, v.data], 1, None, False, g)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_runs_tiles(self, monkeypatch):
+        # the child inherits the parent's pool object but none of its threads
+        monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 8 * 4 * 4)
+        monkeypatch.setattr(tensor, "TILE_WORKERS", 2)
+        q = rand_tensor((3, 4, 2), requires_grad=False)
+        want = attention(q, q, q, 1).data
+        pid = os.fork()
+        if pid == 0:  # the child reports by exit status and never returns to pytest
+            code = 1
+            try:
+                signal.alarm(20)  # a hang ends in SIGALRM
+                code = 0 if attention(q, q, q, 1).data.tobytes() == want.tobytes() else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
     # a 513-token image self-attention of the bigvol shape, whose (B, h, N, N)
     # probabilities alone are 33.7 MB
     BIG, BIG_HEADS = (4, 513, 64), 4
@@ -428,6 +474,23 @@ class TestAttention:
         # the per-head q, k and v it keeps are O(B·N·d); one tile of scores is allowed
         assert retained < tensor.ATTENTION_TILE_BYTES + 4 * q.data.nbytes
         assert retained < self.BIG_PROBS_BYTES
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tiles_in_flight_share_the_budget(self, monkeypatch, workers):
+        # 8 MiB holds three 2.1 MB slices: undivided, three workers would
+        # hold 18.9 MB of scores at once
+        monkeypatch.setattr(tensor, "TILE_WORKERS", workers)
+        q, k, v = (rand_tensor(self.BIG, seed=s) for s in range(3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            attention(q, k, v, self.BIG_HEADS)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # beside the scores: the scaled q, the per-head q, k and v, and the
+        # output heads, each the size of q
+        assert peak - 5 * q.data.nbytes < tensor.ATTENTION_TILE_BYTES
 
     def test_peak_is_below_one_probability_array(self):
         q, k, v = (rand_tensor(self.BIG, seed=s) for s in range(3))
