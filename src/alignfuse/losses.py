@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, LabelError, check_fields
-from .tensor import Tensor, as_tensor, cross_entropy, unit_rows
+from .tensor import Tensor, as_tensor, cross_entropy, unit_rows, weighted_square_error
 
 
 @dataclass
@@ -78,8 +78,7 @@ def image_recon_loss(target: np.ndarray, recon: Tensor,
         raise DimensionError(
             f"reconstruction shape {recon.shape} != target {target.shape}")
     weight = _record_weights(np.asarray(masked, dtype=bool), target.shape[-1])
-    diff = recon - target
-    return (diff * diff * weight[..., None]).sum()
+    return weighted_square_error(recon, target, weight[..., None])
 
 
 def text_recon_loss(ids: np.ndarray, pad_mask: np.ndarray, logits: Tensor,

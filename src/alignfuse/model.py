@@ -374,6 +374,9 @@ class AlignFuseModel:
 
     def extract_attention_map(self, patches: PatchGrid,
                               tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
-        """Row 0 of `attention_maps` on a batch of this one record."""
-        heat, txt = self.attention_maps(Batch.stack([patches], [tokens]))
+        """Row 0 of `attention_maps` on a batch of this one record, built
+        from views of the record's arrays."""
+        n = tokens.length
+        heat, txt = self.attention_maps(Batch(patches.patches[None], tokens.ids[None, :n],
+                                              tokens.pad_mask[None, :n]))
         return heat[0], txt[0]

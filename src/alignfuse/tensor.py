@@ -157,7 +157,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor initialized with non-finite values")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -170,7 +170,7 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"],
                 backward: Callable[[np.ndarray], None]) -> "Tensor":
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NumericError("operation produced non-finite values")
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -341,7 +341,13 @@ class Tensor:
     # -- backward -------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this scalar; accumulates into leaf grads."""
+        """Reverse-mode sweep from this scalar; accumulates into leaf grads.
+
+        The sweep then frees the graph it ran: every interior node drops its
+        parents and its backward closure, and with them the arrays the
+        closures kept, even while the caller still holds the loss. Leaves
+        keep ``grad`` and every tensor keeps ``data``. A later sweep that
+        reaches a freed node raises ContractError, so run one per graph."""
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss")
         topo: list[Tensor] = []
@@ -367,6 +373,14 @@ class Tensor:
                 node._backward(node.grad)
                 if node._prev:
                     node.grad = None  # interior node: free the buffer
+        for node in topo:  # after the sweep, not during it: freeing as it goes was slower
+            if node._prev:
+                node._prev, node._backward = (), _spent
+
+
+def _spent(g: np.ndarray) -> None:
+    raise ContractError("backward() reached a graph that an earlier backward() freed; "
+                        "build the loss again")
 
 
 def as_tensor(x) -> Tensor:
@@ -412,6 +426,21 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
         return grad.reshape(logits.data.shape)
 
     return Tensor._node(np.asarray((w * (np.log(total) - picked)).sum()), (logits, dlogits))
+
+
+def weighted_square_error(pred: Tensor, target: np.ndarray, weights) -> Tensor:
+    """``sum(weights * (pred - target)**2)`` as one node; `weights` broadcasts
+    to pred's shape. Only the difference is kept: the backward is ``t + t``
+    with ``t = g * weights * diff``, as the chain's two edges into the
+    square add, so value and gradient equal the neg/add/mul/mul/sum chain
+    bitwise."""
+    diff = pred.data - target
+
+    def dpred(g):
+        t = (g * weights) * diff
+        return t + t
+
+    return Tensor._node(np.asarray((diff * diff * weights).sum()), (pred, dpred))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

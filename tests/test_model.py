@@ -607,6 +607,19 @@ class TestAttentionMap:
         row[0] = 0.0
         assert np.allclose(txt, row / row.sum(), rtol=0.0, atol=1e-12)
 
+    def test_leaves_the_record_unchanged_and_gives_the_stacked_bits(self):
+        # the one-record batch is views of the record's arrays, not a copy
+        cfg = tiny_config(l_max=12)
+        model = AlignFuseModel(cfg, seed=2)
+        (patches,), (toks,) = ragged_batch(cfg, [5])
+        before = [a.copy() for a in (patches.patches, toks.ids, toks.pad_mask)]
+        heat, txt = model.extract_attention_map(patches, toks)
+        for a, b in zip((patches.patches, toks.ids, toks.pad_mask), before):
+            assert a.tobytes() == b.tobytes()
+        stacked_heat, stacked_txt = model.attention_maps(one_batch(patches, toks))
+        assert heat.tobytes() == stacked_heat[0].tobytes()
+        assert txt.tobytes() == stacked_txt[0].tobytes()
+
     def test_batch_rows_match_single_records(self):
         cfg = tiny_config(l_max=12)
         model = AlignFuseModel(cfg, seed=3)

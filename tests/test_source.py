@@ -101,6 +101,48 @@ def test_one_owner_for_gradient_routing():
                        "_result": {"Tensor._node", "attention"}}
 
 
+def assigned_attributes(node: ast.AST) -> list[str]:
+    """Attribute names that `node` assigns: by `=`, an augmented or annotated
+    assignment, tuple unpacking or a `setattr` with a literal name."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id == "setattr" and len(node.args) > 1
+          and isinstance(node.args[1], ast.Constant)):
+        return [node.args[1].value]
+    else:
+        return []
+    names = []
+    while targets:
+        t = targets.pop()
+        if isinstance(t, (ast.Tuple, ast.List)):
+            targets.extend(t.elts)
+        elif isinstance(t, ast.Attribute):
+            names.append(t.attr)
+    return names
+
+
+def test_graph_links_have_one_owner():
+    # backward() frees each graph it ran by clearing these links, so only
+    # the constructors and backward() itself may write them
+    root = Path(alignfuse.__file__).parent
+    owners = set()
+    for path in sorted(root.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            items = top.body if isinstance(top, ast.ClassDef) else [top]
+            for item in items:
+                if isinstance(top, ast.ClassDef) and isinstance(item, ast.FunctionDef):
+                    owner = f"{top.name}.{item.name}"
+                else:
+                    owner = getattr(top, "name", path.name)
+                if any(attr in ("_prev", "_backward")
+                       for node in ast.walk(item) for attr in assigned_attributes(node)):
+                    owners.add(owner)
+    assert owners == {"Tensor.__init__", "Tensor._result", "Tensor.backward"}
+
+
 def test_pad_bias_has_one_owner():
     # attention alone turns a (B, Nkv) key mask into scores: no other module
     # builds, imports or names the pad bias

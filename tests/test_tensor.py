@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from alignfuse.tensor import (
     no_grad,
     softmax,
     unit_rows,
+    weighted_square_error,
 )
 
 
@@ -530,6 +532,42 @@ class TestCrossEntropy:
                                    rtol=1e-12, atol=1e-12)
 
 
+def weighted_square_error_composition(pred, target, weights):
+    """The neg/add/mul/mul/sum chain that the one-node
+    `weighted_square_error` replaced: the oracle for its bits."""
+    diff = pred - target
+    return (diff * diff * weights).sum()
+
+
+class TestWeightedSquareError:
+    def test_finite_differences(self):
+        x = rand_tensor((2, 3, 4), seed=14)
+        target = rand_tensor((2, 3, 4), seed=15, requires_grad=False).data
+        w = np.random.default_rng(16).uniform(0.0, 2.0, size=(2, 3, 1))
+        assert finite_diff_check(lambda t: weighted_square_error(t, target, w), x) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=3), n=st.integers(1, 8),
+           row_weights=st.booleans(), zeros=st.booleans(),
+           upstream=st.floats(-4.0, 4.0, allow_nan=False), seed=st.integers(0, 2**16))
+    def test_matches_composition_bitwise(self, lead, n, row_weights, zeros, upstream, seed):
+        rng = np.random.default_rng(seed)
+        target = rng.normal(size=(*lead, n))
+        w = rng.uniform(0.0, 2.0, size=(*lead, 1) if row_weights else (*lead, n))
+        if zeros:  # rows of weight 0, as records with no masked patch have
+            w[..., ::2, :] = 0.0
+        x = Tensor(rng.normal(size=(*lead, n)), requires_grad=True)
+        runs = []
+        for f in (weighted_square_error, weighted_square_error_composition):
+            loss = f(x, target, w)
+            (loss * upstream).backward()
+            runs.append((loss.data, x.grad))
+            x.grad = None
+        (got, got_grad), (want, want_grad) = runs
+        assert got.tobytes() == want.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+
 # every op built through Tensor._node: its input shapes, and the op itself
 NODE_OPS = {
     "add": ([(2, 3), (3,)], lambda a, b: a + b),
@@ -551,6 +589,8 @@ NODE_OPS = {
     "cross_entropy": ([(2, 3)], lambda a: cross_entropy(a, [0, 2], [0.5, 2.0])),
     "layer_norm": ([(2, 3), (3,), (3,)], layer_norm),
     "linear": ([(2, 3), (3, 4), (4,)], linear),
+    "weighted_square_error": ([(2, 3)], lambda a: weighted_square_error(
+        a, np.ones((2, 3)), np.array([[0.5], [2.0]]))),
 }
 
 
@@ -606,6 +646,29 @@ class TestBackward:
         gx1, gw1 = run()
         gx2, gw2 = run()
         assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+    def test_backward_frees_the_graph_while_the_loss_lives(self):
+        x = rand_tensor((3, 4), seed=5)
+        h = x.gelu()
+        loss = (h * h).sum()
+        activation = weakref.ref(h.data)
+        del h
+        assert activation() is not None  # the mul node's closures hold it
+        loss.backward()
+        assert activation() is None
+        assert x.grad.shape == (3, 4) and math.isfinite(loss.item())  # data stays
+
+    def test_second_backward_on_a_spent_graph_is_refused(self):
+        x = rand_tensor((3, 4), seed=6)
+        h = x.exp()
+        loss = (h * 2.0).sum()
+        loss.backward()
+        grad = x.grad.copy()
+        with pytest.raises(ContractError, match="freed"):
+            loss.backward()
+        with pytest.raises(ContractError, match="freed"):  # a new root over a spent node
+            (h * 3.0).sum().backward()
+        assert np.array_equal(x.grad, grad)
 
     def test_composite_matches_finite_differences(self):
         w = rand_tensor((4, 3), seed=9)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,26 @@ class TestTrainSteps:
         tau = float(model.temperature().data[0])
         assert 0.01 - 1e-12 <= tau <= 1.0 + 1e-12
 
+    def test_steps_hold_one_graph_at_a_time(self):
+        # backward frees each step's graph, so the next step's forward does
+        # not build beside it: held by the loss until the step ends, it would
+        # peak near two graphs
+        model, _, examples = tiny_setup(n=8)
+        cfg = TrainConfig(batch_size=8, steps=10, seed=0)
+        optim = AdamW(model.params, cfg)
+        train_steps(model, optim, examples, cfg, n_steps=1)  # AdamW's moments
+        tracemalloc.start()
+        try:
+            peaks = []
+            for n_steps in (1, 3):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                train_steps(model, optim, examples, cfg, n_steps=n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
+
     def test_tiled_attention_gives_the_same_bits(self, monkeypatch):
         def run():
             model, _, examples = tiny_setup(n=6, seed=3)
@@ -328,7 +349,7 @@ class TestTrainSteps:
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._prev)
-        assert len(seen) == 238
+        assert len(seen) == 235
 
 
 class TestCheckpointing:
