@@ -1,10 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every value flowing through the model is a :class:`Tensor` wrapping a numpy
-array. Each operation's output lists ``(parent, gradient)`` edges; ``backward()``
-on a scalar replays that graph in reverse topological order and accumulates
-adjoints into leaf ``grad`` buffers. Gradients add across multiple uses of
-the same tensor, which is what the weight-shared encoders rely on.
+array. A tensor that needs a gradient also has a graph :class:`Node`, and
+each operation's output node lists ``(parent node, gradient)`` edges;
+``backward()`` on a scalar replays that graph in reverse topological order
+and accumulates adjoints into leaf ``grad`` buffers. Gradients add across
+multiple uses of the same tensor, which is what the weight-shared encoders
+rely on. Nodes hold no values: an interior array lives as long as its
+tensor, or as a backward closure that captured it, and no longer.
 """
 
 from __future__ import annotations
@@ -152,18 +155,65 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+class Node:
+    """A tensor's place in the autodiff graph: its adjoint buffer, the
+    nodes of the parents that need a gradient, and the backward closure
+    that adds into them. It references nodes, never tensors or values."""
+    __slots__ = ("grad", "_prev", "_backward")
+
+    def __init__(self, prev: tuple = (),
+                 backward: Callable[[np.ndarray], None] | None = None):
+        self.grad: np.ndarray | None = None
+        self._prev = prev
+        self._backward = backward
+
+    def _accum(self, g: np.ndarray) -> None:
+        # g may be shared with another parent or be a read-only view: never write into it
+        self.grad = g if self.grad is None else self.grad + g
+
+    def backward(self, seed: np.ndarray) -> None:
+        """Reverse-mode sweep from this node with adjoint `seed`; see
+        :meth:`Tensor.backward`."""
+        topo: list[Node] = []
+        seen: set[int] = set()
+        stack: list[tuple[Node, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                topo.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node._prev:
+                stack.append((p, False))
+
+        # local adjoint buffers; only leaves keep persistent .grad
+        self._accum(seed)
+        for node in reversed(topo):
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
+                if node._prev:
+                    node.grad = None  # interior node: free the buffer
+        for node in topo:  # after the sweep, not during it: freeing as it goes was slower
+            if node._prev:
+                node._prev, node._backward = (), _spent
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
+    """A float64 array (``data``) and, when it needs a gradient, its graph
+    ``node``. Only a tensor that requires grad has a node: a leaf made with
+    ``requires_grad=True``, or an op's output over such a tensor outside
+    ``no_grad``."""
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NumericError("tensor initialized with non-finite values")
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._prev: tuple = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self.node = Node() if requires_grad else None
 
     # -- construction helpers -------------------------------------------------
 
@@ -174,15 +224,8 @@ class Tensor:
             raise NumericError("operation produced non-finite values")
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.grad = None
-        needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out.requires_grad = needs
-        if needs:
-            out._prev = tuple(p for p in parents if p.requires_grad)
-            out._backward = backward
-        else:
-            out._prev = ()
-            out._backward = None
+        prev = tuple(p.node for p in parents if p.node is not None) if _GRAD_ENABLED else ()
+        out.node = Node(prev, backward) if prev else None
         return out
 
     @staticmethod
@@ -190,19 +233,38 @@ class Tensor:
               *edges: tuple["Tensor", Callable[[np.ndarray], np.ndarray]]) -> "Tensor":
         """An op's output from its ``(parent, grad)`` edges: the backward adds
         ``grad(g)`` into each parent that requires grad, in edge order, which
-        is the order of ``_prev``. A parent used twice has two edges."""
+        is the order of ``_prev``. A parent used twice has two edges. The
+        backward keeps the parents' nodes, and the ``grad`` closures must
+        capture arrays and shapes, never a tensor."""
+        live = [(parent.node, grad) for parent, grad in edges if parent.node is not None]
+
         def backward(g):
-            for parent, grad in edges:
-                if parent.requires_grad:
-                    parent._accum(grad(g))
+            for node, grad in live:
+                node._accum(grad(g))
 
         return Tensor._result(data, [parent for parent, _ in edges], backward)
 
-    def _accum(self, g: np.ndarray) -> None:
-        # g may be shared with another parent or be a read-only view: never write into it
-        self.grad = g if self.grad is None else self.grad + g
-
     # -- basic properties -----------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self.node is not None:
+            self.node.grad = value
+        elif value is not None:
+            raise ContractError("a tensor that requires no grad holds no gradient")
+
+    @property
+    def _prev(self) -> tuple:
+        """The nodes of the parents that need a gradient."""
+        return () if self.node is None else self.node._prev
 
     @property
     def shape(self):
@@ -217,7 +279,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        if self.data.size != 1:
+            raise ContractError(f"item() needs a one-element tensor, not shape {self.data.shape}")
+        return float(self.data.item())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -226,9 +290,10 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
+        a, b = self.data.shape, other.data.shape
         return Tensor._node(self.data + other.data,
-                            (self, lambda g: _unbroadcast(g, self.data.shape)),
-                            (other, lambda g: _unbroadcast(g, other.data.shape)))
+                            (self, lambda g: _unbroadcast(g, a)),
+                            (other, lambda g: _unbroadcast(g, b)))
 
     __radd__ = __add__
 
@@ -240,27 +305,28 @@ class Tensor:
 
     def __mul__(self, other):
         other = as_tensor(other)
-        return Tensor._node(self.data * other.data,
-                            (self, lambda g: _unbroadcast(g * other.data, self.data.shape)),
-                            (other, lambda g: _unbroadcast(g * self.data, other.data.shape)))
+        a, b = self.data, other.data
+        return Tensor._node(a * b,
+                            (self, lambda g: _unbroadcast(g * b, a.shape)),
+                            (other, lambda g: _unbroadcast(g * a, b.shape)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: float):
-        e = float(exponent)
-        return Tensor._node(self.data ** e, (self, lambda g: g * e * self.data ** (e - 1.0)))
+        e, x = float(exponent), self.data
+        return Tensor._node(x ** e, (self, lambda g: g * e * x ** (e - 1.0)))
 
     def __matmul__(self, other):
         other = as_tensor(other)
-        if self.data.ndim < 2 or other.data.ndim < 2:
+        a, b = self.data, other.data
+        if a.ndim < 2 or b.ndim < 2:
             raise DimensionError("matmul requires tensors with ndim >= 2")
-        if self.data.shape[-1] != other.data.shape[-2]:
-            raise DimensionError(
-                f"matmul inner dims disagree: {self.data.shape} @ {other.data.shape}")
+        if a.shape[-1] != b.shape[-2]:
+            raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
         return Tensor._node(
-            self.data @ other.data,
-            (self, lambda g: _unbroadcast(g @ other.data.swapaxes(-1, -2), self.data.shape)),
-            (other, lambda g: _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape)))
+            a @ b,
+            (self, lambda g: _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)),
+            (other, lambda g: _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)))
 
     # -- shape ops ------------------------------------------------------------
 
@@ -282,9 +348,10 @@ class Tensor:
         # an int, a slice or a tuple of these selects each element at most once
         basic = all(isinstance(k, (int, np.integer, slice)) and not isinstance(k, bool)
                     for k in (key if isinstance(key, tuple) else (key,)))
+        shape = self.data.shape
 
         def grad(g):
-            full = np.zeros_like(self.data)
+            full = np.zeros(shape)
             if basic:
                 full[key] = g
             else:
@@ -296,17 +363,17 @@ class Tensor:
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
+        shape = self.data.shape
+
         def grad(g):
             gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(gg, self.data.shape)
+            return np.broadcast_to(gg, shape)
 
         return Tensor._node(self.data.sum(axis=axis, keepdims=keepdims), (self, grad))
 
     def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        n = self.data.size if axis is None else math.prod(self.data.shape[a] for a in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- elementwise nonlinearities -------------------------------------------
@@ -316,66 +383,47 @@ class Tensor:
         return Tensor._node(out_data, (self, lambda g: g * out_data))
 
     def log(self):
+        x = self.data
         with np.errstate(invalid="ignore", divide="ignore"):
-            out_data = np.log(self.data)
-        return Tensor._node(out_data, (self, lambda g: g / self.data))
+            out_data = np.log(x)
+        return Tensor._node(out_data, (self, lambda g: g / x))
 
     def sqrt(self):
         out_data = np.sqrt(self.data)
         return Tensor._node(out_data, (self, lambda g: g * 0.5 / out_data))
 
     def relu(self):
-        return Tensor._node(np.maximum(self.data, 0.0), (self, lambda g: g * (self.data > 0.0)))
+        x = self.data
+        return Tensor._node(np.maximum(x, 0.0), (self, lambda g: g * (x > 0.0)))
 
     def gelu(self):
-        cdf = erf(self.data * _INV_SQRT2)
+        x = self.data
+        cdf = erf(x * _INV_SQRT2)
         cdf += 1.0
         cdf *= 0.5
 
         def grad(g):
-            pdf = np.exp(-0.5 * self.data * self.data) * _INV_SQRT2PI
-            return g * (cdf + self.data * pdf)
+            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+            return g * (cdf + x * pdf)
 
-        return Tensor._node(self.data * cdf, (self, grad))
+        return Tensor._node(x * cdf, (self, grad))
 
     # -- backward -------------------------------------------------------------
 
     def backward(self) -> None:
         """Reverse-mode sweep from this scalar; accumulates into leaf grads.
 
-        The sweep then frees the graph it ran: every interior node drops its
-        parents and its backward closure, and with them the arrays the
-        closures kept, even while the caller still holds the loss. Leaves
-        keep ``grad`` and every tensor keeps ``data``. A later sweep that
-        reaches a freed node raises ContractError, so run one per graph."""
+        Graph nodes hold no values: an interior array lives only while its
+        tensor does or a backward closure captured it. The sweep then frees
+        the graph it ran: every interior node drops its parents and its
+        backward closure, and with them the arrays the closures kept, even
+        while the caller still holds the loss. Leaves keep ``grad``. A later
+        sweep that reaches a freed node raises ContractError, so run one per
+        graph."""
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._prev:
-                stack.append((p, False))
-
-        seed = np.ones_like(self.data)
-        # local adjoint buffers; only leaves keep persistent .grad
-        self._accum(seed)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if node._prev:
-                    node.grad = None  # interior node: free the buffer
-        for node in topo:  # after the sweep, not during it: freeing as it goes was slower
-            if node._prev:
-                node._prev, node._backward = (), _spent
+        if self.node is not None:
+            self.node.backward(np.ones_like(self.data))
 
 
 def _spent(g: np.ndarray) -> None:
@@ -411,9 +459,10 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
     as one node. `logits` is (..., n), `targets` an int array of its leading
     shape and `weights` broadcasts to it. Only the probabilities are kept:
     the backward is ``g * weights * (probs - onehot)``."""
-    z = logits.data.reshape(-1, logits.data.shape[-1])
+    shape = logits.data.shape
+    z = logits.data.reshape(-1, shape[-1])
     hit = np.arange(len(z)), np.asarray(targets, dtype=np.int64).reshape(-1)
-    w = np.broadcast_to(weights, logits.data.shape[:-1]).reshape(-1)
+    w = np.broadcast_to(weights, shape[:-1]).reshape(-1)
     probs = z - z.max(axis=-1, keepdims=True)  # log-sum-exp shift
     picked = probs[hit]
     np.exp(probs, out=probs)
@@ -423,7 +472,7 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
     def dlogits(g):
         grad = probs * (g * w)[:, None]
         grad[hit] -= g * w
-        return grad.reshape(logits.data.shape)
+        return grad.reshape(shape)
 
     return Tensor._node(np.asarray((w * (np.log(total) - picked)).sum()), (logits, dlogits))
 
@@ -449,19 +498,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.data.shape[-1] != x.data.shape[-1] or beta.data.shape[-1] != x.data.shape[-1]:
         raise DimensionError("gamma/beta must match the last axis of x")
 
+    n, gd, beta_shape = x.data.shape[-1], gamma.data, beta.data.shape
+
     def mean(a):  # sum times 1/n as in Tensor.mean: outputs equal the composition bitwise
-        return a.sum(axis=-1, keepdims=True) * (1.0 / x.data.shape[-1])
+        return a.sum(axis=-1, keepdims=True) * (1.0 / n)
     xhat = x.data - mean(x.data)
     inv_std = (mean(xhat * xhat) + LN_EPS) ** -0.5
     xhat *= inv_std
 
     def dx(g):
-        gx = g * gamma.data
+        gx = g * gd
         return inv_std * (gx - mean(gx) - xhat * mean(gx * xhat))
 
-    return Tensor._node(xhat * gamma.data + beta.data, (x, dx),
-                        (gamma, lambda g: _unbroadcast(g * xhat, gamma.data.shape)),
-                        (beta, lambda g: _unbroadcast(g, beta.data.shape)))
+    return Tensor._node(xhat * gd + beta.data, (x, dx),
+                        (gamma, lambda g: _unbroadcast(g * xhat, gd.shape)),
+                        (beta, lambda g: _unbroadcast(g, beta_shape)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -470,15 +521,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1] or (
             b is not None and b.data.shape != w.data.shape[1:]):
         raise DimensionError(f"linear map of {x.data.shape} by {w.data.shape}, bias {b}")
-    out = x.data @ w.data
+    xd, wd = x.data, w.data
+    out = xd @ wd
     if b is not None:
         out += b.data
 
     def rows(g):
         return g.reshape(-1, g.shape[-1])
     bias = () if b is None else ((b, lambda g: rows(g).sum(axis=0)),)
-    return Tensor._node(out, (x, lambda g: g @ w.data.T),
-                        (w, lambda g: x.data.reshape(-1, w.data.shape[0]).T @ rows(g)), *bias)
+    return Tensor._node(out, (x, lambda g: g @ wd.T),
+                        (w, lambda g: xd.reshape(-1, wd.shape[0]).T @ rows(g)), *bias)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
@@ -544,14 +596,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     _each_tile(lambda t: np.matmul(probabilities(t, True) if probs is None else probs,
                                    vh[t], out=heads[t]), tiles)
     out = merge(heads)
+    qn, kn, vn = q.node, k.node, v.node  # None where no gradient is needed
 
     def backward(g):
         gh = split(g)
         # the row dot dP·P equals dO·O
         dot = (g * out).reshape(b, n_q, n_heads, dh).sum(axis=-1)
         dot = dot.transpose(0, 2, 1).reshape(bh, n_q, 1)
-        dq, dk, dv = (np.empty_like(a) if x.requires_grad else None
-                      for a, x in ((qh, q), (kh, k), (vh, v)))
+        dq, dk, dv = (None if node is None else np.empty_like(a)
+                      for a, node in ((qh, qn), (kh, kn), (vh, vn)))
 
         def tile(t):
             p = probabilities(t, False) if probs is None else probs
@@ -568,11 +621,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
         _each_tile(tile, tiles)
         if dv is not None:
-            v._accum(merge(dv))
+            vn._accum(merge(dv))
         if dq is not None:
-            q._accum(merge(dq) * scale)
+            qn._accum(merge(dq) * scale)
         if dk is not None:
-            k._accum(merge(dk))
+            kn._accum(merge(dk))
 
     return Tensor._result(out, (q, k, v), backward)
 
@@ -617,9 +670,9 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + step
-            fp = float(f(x).data)
+            fp = f(x).item()
             flat[i] = orig - step
-            fm = float(f(x).data)
+            fm = f(x).item()
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * step)
             a = float(analytic.reshape(-1)[i])

@@ -684,14 +684,14 @@ class TestClsOnlyInference:
         model = AlignFuseModel(cfg, seed=0)
         batch = Batch.stack(*ragged_batch(cfg, [3, 8, 5]))
         f = FFN_MULT * cfg.d_model
-        seen, hidden, stack = set(), [], [model.classify(batch)[0]]  # grad enabled: a graph
-        while stack:
-            t = stack.pop()
-            if id(t) not in seen:
-                seen.add(id(t))
-                stack.extend(t._prev)
-                if t.data.ndim == 3 and t.data.shape[-1] == f:
-                    hidden.append(t.data.shape)
+        hidden, gelu = [], Tensor.gelu
+
+        def spy(t):  # the l1 output goes in, the GELU output comes out
+            out = gelu(t)
+            hidden.extend(a.shape for a in (t.data, out.data) if a.ndim == 3 and a.shape[-1] == f)
+            return out
+        with mock.patch.object(Tensor, "gelu", spy):
+            model.classify(batch)
         # the l1 and GELU outputs: block 0 on every row, block 1 on [CLS] alone
         n_img, n_txt = cfg.n_patches + 1, batch.ids.shape[1]
         assert sorted(hidden) == sorted(2 * [(3, n_img, f)] + 2 * [(3, n_txt, f)]

@@ -84,8 +84,8 @@ def test_scipy_use_is_scipy_special_alone():
 
 def test_one_owner_for_gradient_routing():
     # ops hand (parent, gradient) edges to Tensor._node, which alone adds them
-    # into parents; attention keeps its own backward, because one tile loop
-    # yields dq, dk and dv together
+    # into the parents' graph nodes; attention keeps its own backward, because
+    # one tile loop yields dq, dk and dv together; Node.backward seeds the sweep
     tree = ast.parse((Path(alignfuse.__file__).parent / "tensor.py").read_text())
     callers: dict[str, set[str]] = {"_accum": set(), "_result": set()}
     for top in tree.body:
@@ -97,7 +97,7 @@ def test_one_owner_for_gradient_routing():
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr in callers):
                     callers[node.func.attr].add(owner)
-    assert callers == {"_accum": {"Tensor._node", "Tensor.backward", "attention"},
+    assert callers == {"_accum": {"Tensor._node", "Node.backward", "attention"},
                        "_result": {"Tensor._node", "attention"}}
 
 
@@ -126,7 +126,7 @@ def assigned_attributes(node: ast.AST) -> list[str]:
 
 def test_graph_links_have_one_owner():
     # backward() frees each graph it ran by clearing these links, so only
-    # the constructors and backward() itself may write them
+    # the graph node's constructor and its sweep may write them
     root = Path(alignfuse.__file__).parent
     owners = set()
     for path in sorted(root.rglob("*.py")):
@@ -140,7 +140,7 @@ def test_graph_links_have_one_owner():
                 if any(attr in ("_prev", "_backward")
                        for node in ast.walk(item) for attr in assigned_attributes(node)):
                     owners.add(owner)
-    assert owners == {"Tensor.__init__", "Tensor._result", "Tensor.backward"}
+    assert owners == {"Node.__init__", "Node.backward"}
 
 
 def test_pad_bias_has_one_owner():

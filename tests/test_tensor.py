@@ -202,7 +202,7 @@ class TestLayerNorm:
 
     def test_is_one_node(self):
         x, g, b = (rand_tensor(shape, seed=s) for s, shape in enumerate([(2, 3, 4), (4,), (4,)]))
-        assert layer_norm(x, g, b)._prev == (x, g, b)
+        assert layer_norm(x, g, b)._prev == (x.node, g.node, b.node)
 
     # finite_diff_check's error is relative per entry, so on an entry near 0 it
     # is rounding noise: the x gradient is held to the oracle instead (its
@@ -238,8 +238,8 @@ class TestLayerNorm:
 class TestLinear:
     def test_is_one_node(self):
         x, w, b = (rand_tensor(shape, seed=s) for s, shape in enumerate([(2, 3, 4), (4, 5), (5,)]))
-        assert linear(x, w, b)._prev == (x, w, b)
-        assert linear(x, w)._prev == (x, w)
+        assert linear(x, w, b)._prev == (x.node, w.node, b.node)
+        assert linear(x, w)._prev == (x.node, w.node)
 
     @pytest.mark.parametrize("shapes", [[(3, 4), (5, 2), (2,)], [(3, 4), (4,), None],
                                         [(3, 4), (4, 2), (3,)]])
@@ -270,7 +270,7 @@ class TestAttention:
     def test_is_one_node(self):
         q, k, v = (rand_tensor(shape, seed=s) for s, shape in enumerate([(2, 3, 4), (2, 5, 4),
                                                                            (2, 5, 4)]))
-        assert attention(q, k, v, 2)._prev == (q, k, v)
+        assert attention(q, k, v, 2)._prev == (q.node, k.node, v.node)
 
     @pytest.mark.parametrize("shapes,n_heads", [
         ([(2, 3, 4), (2, 5, 4), (2, 5, 4)], 3),
@@ -296,7 +296,7 @@ class TestAttention:
             leaves = [Tensor(t.data, requires_grad=True) for t in (q, k, v)]
             rec = []
             out = attention(*leaves, 2, real, rec)
-            out._backward(g)
+            out.node._backward(g)
             runs.append([out.data, *rec, *(t.grad for t in leaves)])
         for got, want in zip(*runs):
             assert got.tobytes() == want.tobytes()
@@ -320,7 +320,7 @@ class TestAttention:
         g = rand_tensor(out.shape, seed=4, requires_grad=False).data
         for a in (q.data, k.data, v.data, g, rec[0]):
             a.flags.writeable = False
-        out._backward(g)
+        out.node._backward(g)
         assert np.array_equal(rec[0], probs)
 
     def test_finite_differences(self):
@@ -361,7 +361,7 @@ class TestAttention:
         leaves = [Tensor(a, requires_grad=True) for a in inputs]
         rec = [] if record else None
         out = attention(*(leaves * 3 if len(leaves) == 1 else leaves), n_heads, real, rec)
-        out._backward(g)
+        out.node._backward(g)
         return [out.data, *(t.grad for t in leaves), *(rec or [])]
 
     @settings(max_examples=80, deadline=None)
@@ -411,7 +411,7 @@ class TestAttention:
         before = [a.copy() for a in (q.data, k.data, v.data, g)]
         for a in (q.data, k.data, v.data, g):
             a.flags.writeable = False
-        out._backward(g)
+        out.node._backward(g)
         for a, was in zip((q.data, k.data, v.data, g), before):
             assert np.array_equal(a, was)
         assert all(t.grad is not None for t in (q, k, v))
@@ -499,7 +499,7 @@ class TestAttention:
         g = rand_tensor(self.BIG, seed=3, requires_grad=False).data
         tracemalloc.start()
         try:
-            attention(q, k, v, self.BIG_HEADS)._backward(g)
+            attention(q, k, v, self.BIG_HEADS).node._backward(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -602,7 +602,7 @@ class TestNodeEdges:
             inputs = [Tensor(RngStream(i).uniform(0.5, 1.5, shape), requires_grad=need)
                       for i, (shape, need) in enumerate(zip(shapes, needs))]
             out = f(*inputs)
-            assert out._prev == tuple(t for t in inputs if t.requires_grad)
+            assert out._prev == tuple(t.node for t in inputs if t.requires_grad)
             out.sum().backward()
             for t in inputs:
                 if t.requires_grad:
@@ -657,6 +657,24 @@ class TestBackward:
         loss.backward()
         assert activation() is None
         assert x.grad.shape == (3, 4) and math.isfinite(loss.item())  # data stays
+
+    def test_graph_keeps_no_value_a_backward_does_not_read(self):
+        # layer_norm's backward reads its xhat and 1/std, not its input
+        x, w = rand_tensor((2, 3, 4), seed=7), rand_tensor((4, 5), seed=8)
+        g, b = rand_tensor((5,), seed=9), rand_tensor((5,), seed=10)
+        grads = []
+        for keep in (True, False):
+            y = linear(x, w)
+            z = layer_norm(y, g, b)
+            value, kept = weakref.ref(y.data), y
+            if not keep:
+                del y, kept
+            assert (value() is not None) == keep
+            (z * z).sum().backward()
+            grads.append([t.grad for t in (x, w, g, b)])
+            x.grad = w.grad = g.grad = b.grad = None
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
 
     def test_second_backward_on_a_spent_graph_is_refused(self):
         x = rand_tensor((3, 4), seed=6)
@@ -719,6 +737,25 @@ class TestBackward:
             return (out * w).sum() + (u * u + v * c1).sum()
 
         assert finite_diff_check(f, x) < 1e-6
+
+
+class TestMean:
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", [None, 0, -1, (0, 1), (-1, 0), (0, 2), (-3, -2, -1)])
+    def test_matches_numpy(self, axis, keepdims):
+        x = rand_tensor((2, 3, 4), seed=12)
+        out = x.mean(axis=axis, keepdims=keepdims)
+        want = x.data.mean(axis=axis, keepdims=keepdims)
+        assert out.shape == want.shape
+        np.testing.assert_allclose(out.data, want, rtol=1e-15, atol=0)
+        out.sum().backward()
+        assert np.array_equal(x.grad, np.full(x.shape, 1.0 / (x.size // out.size)))
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_int_axis_is_sum_times_reciprocal(self, axis):
+        x = rand_tensor((2, 3, 4), seed=13)
+        want = x.data.sum(axis=axis) * (1.0 / x.shape[axis])
+        assert x.mean(axis=axis).data.tobytes() == want.tobytes()
 
 
 class TestGetitem:
@@ -809,7 +846,18 @@ class TestMisc:
         x = rand_tensor((3,))
         with no_grad():
             y = (x * x).sum()
-        assert not y.requires_grad
+        assert not y.requires_grad and y.node is None and y.grad is None and y._prev == ()
+        with pytest.raises(ContractError, match="no grad"):
+            y.grad = np.ones(())
+
+    def test_item_of_any_one_element_tensor(self):
+        for shape in [(), (1,), (1, 1)]:
+            got = Tensor(np.full(shape, 2.5)).item()
+            assert type(got) is float and got == 2.5
+        with pytest.raises(ContractError, match=r"\(2, 1\)"):
+            Tensor(np.ones((2, 1))).item()
+        x = rand_tensor((3,), seed=14)  # a (1,) loss, as temperature() gives
+        assert finite_diff_check(lambda t: (t * t).sum(keepdims=True), x) < 1e-8
 
     def test_unit_rows(self):
         x = rand_tensor((4, 6), seed=8)

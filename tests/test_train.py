@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -350,6 +351,42 @@ class TestTrainSteps:
                 seen.add(id(node))
                 stack.extend(node._prev)
         assert len(seen) == 235
+
+    def test_no_backward_closure_holds_a_tensor(self):
+        # graph nodes and their closures keep arrays and shapes: a captured
+        # tensor would keep its whole value alive for the graph's lifetime
+        model, _, examples = tiny_setup()
+        total = batch_loss(model, collate(examples), LossWeights(), RngStream(0)).total
+        nodes, stack, held = set(), list(total._prev), []
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(node._prev)
+                if node._backward is not None:
+                    held.extend(captured(node._backward))
+        held.extend(captured(total.node._backward))
+        assert len(nodes) == 234 and len(held) > len(nodes)
+        assert [type(o).__name__ for o in held if isinstance(o, Tensor)] == []
+
+
+def captured(fn) -> list:
+    """What `fn`'s closure cells and defaults hold, searched through
+    tuples, lists and the functions they hold."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        else:
+            found.append(obj)
+    return found
 
 
 class TestCheckpointing:
