@@ -242,8 +242,9 @@ def tokenize(text: str, vocab: Vocab, l_max: int) -> TokenSequence:
 
 
 def validate_ids(ids: np.ndarray, vocab_size: int) -> None:
-    if ids.max(initial=0) >= vocab_size:
-        raise VocabError("token id out of range for vocabulary")
+    bad = ids[(ids < 0) | (ids >= vocab_size)]
+    if bad.size:
+        raise VocabError(f"token id {bad[0]} outside the vocabulary [0, {vocab_size})")
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from .tensor import (
     LN_EPS,
     RngStream,
     Tensor,
-    attention,
+    attention_sublayer,
     concat,
-    layer_norm,
+    ffn_sublayer,
     linear,
 )
 
@@ -161,38 +161,31 @@ class AlignFuseModel:
     def _linear(self, name: str, x: Tensor) -> Tensor:
         return linear(x, self.params[f"{name}.w"], self.params.get(f"{name}.b"))
 
-    def _ln(self, name: str, x: Tensor) -> Tensor:
-        return layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
-
-    def _attention(self, name: str, x_q: Tensor, x_kv: Tensor, pad_mask: np.ndarray | None,
-                   record: list | None = None) -> Tensor:
-        """Multi-head attention of (B, Nq, d) queries over (B, Nkv, d) keys,
-        of which `pad_mask` (B, Nkv) marks the real ones."""
-        q = self._linear(f"{name}.wq", x_q)
-        k = self._linear(f"{name}.wk", x_kv)
-        v = self._linear(f"{name}.wv", x_kv)
-        return self._linear(f"{name}.wo", attention(q, k, v, self.config.n_heads, pad_mask, record))
-
-    def _ffn(self, name: str, x: Tensor) -> Tensor:
-        return self._linear(f"{name}.l2", self._linear(f"{name}.l1", x).gelu())
-
     def _block(self, x: Tensor, name: str, pad_mask: np.ndarray | None,
                ctx: Tensor | None = None, ctx_pad_mask: np.ndarray | None = None,
                record: list | None = None, cls_only: bool = False) -> Tensor:
         """One pre-norm block on (B, N, d) rows: self-attention, then (with
         `ctx`) cross-attention into ctx through the `<m>.ca.<i>` weights of
-        block `<m>.enc.<i>`, then FFN, each with a residual. The (B, N) and
-        (B, Nctx) masks of real rows leave the pads of `x` and `ctx` out as
-        keys. With `cls_only` only row 0 queries and comes out, (B, 1, d);
-        keys and values still span every row."""
-        h = q = self._ln(f"{name}.ln1", x)
-        if cls_only:
-            x, q = x[:, :1], h[:, :1]
-        x = x + self._attention(f"{name}.sa", q, h, pad_mask, record)
+        block `<m>.enc.<i>`, then FFN, each one graph node plus a residual.
+        The (B, N) and (B, Nctx) masks of real rows leave the pads of `x` and
+        `ctx` out as keys. With `cls_only` only row 0 queries and comes out,
+        (B, 1, d); keys and values still span every row."""
+        p, heads = self.params, self.config.n_heads
+
+        def norm(ln):
+            return p[f"{ln}.g"], p[f"{ln}.b"]
+
+        def maps(att):  # the key map has no bias
+            return [p[f"{att}.{m}"]
+                    for m in ("wq.w", "wq.b", "wk.w", "wv.w", "wv.b", "wo.w", "wo.b")]
+        sa = attention_sublayer(x, norm(f"{name}.ln1"), maps(f"{name}.sa"), heads, pad_mask,
+                                record=record, cls_only=cls_only)
+        x = (x[:, :1] if cls_only else x) + sa
         if ctx is not None:
             ca = name.replace(".enc.", ".ca.")
-            x = x + self._attention(ca, self._ln(f"{ca}.ln", x), ctx, ctx_pad_mask)
-        return x + self._ffn(f"{name}.ffn", self._ln(f"{name}.ln2", x))
+            x = x + attention_sublayer(x, norm(f"{ca}.ln"), maps(ca), heads, ctx_pad_mask, ctx=ctx)
+        ffn = [p[f"{name}.ffn.{m}"] for m in ("l1.w", "l1.b", "l2.w", "l2.b")]
+        return x + ffn_sublayer(x, norm(f"{name}.ln2"), *ffn)
 
     # -- embedding ------------------------------------------------------------
 

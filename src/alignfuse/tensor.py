@@ -8,12 +8,22 @@ and accumulates adjoints into leaf ``grad`` buffers. Gradients add across
 multiple uses of the same tensor, which is what the weight-shared encoders
 rely on. Nodes hold no values: an interior array lives as long as its
 tensor, or as a backward closure that captured it, and no longer.
+
+Each sublayer of a pre-norm transformer block is one node:
+``attention_sublayer`` (layer norm, q/k/v maps, multi-head attention,
+output map) and ``ffn_sublayer`` (layer norm, map, GELU, map). They keep
+what is costly to rebuild (xhat and 1/std, the projections, the attention
+output and its softmax statistics; the FFN's pre-activation and Φ of it)
+and rebuild the layer-norm and GELU outputs in backward with the forward's
+operations, so their values and gradients equal those of the composition of
+``layer_norm``, ``linear``, ``attention`` and ``Tensor.gelu`` bitwise.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -155,6 +165,57 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``x @ w (+ b)`` over the last axis of x: the forward of ``linear``."""
+    out = x @ w
+    if b is not None:
+        out += b
+    return out
+
+
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Φ(x), the standard normal CDF: GELU(x) is ``x * Φ(x)``."""
+    cdf = erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """dGELU/dx from x and its Φ(x)."""
+    return cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)
+
+
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Layer norm of x over its last axis, on arrays (Ba et al., 2016).
+    Returns ``output()``, which computes ``xhat * gamma + beta`` (called
+    again, it rebuilds the same bits), and ``backward(g)``, which maps the
+    output's gradient to those of x, gamma and beta. Both keep only xhat and
+    1/std. Means are sums times 1/n, as in ``Tensor.mean``, so the outputs
+    equal those of the composition of engine ops bitwise."""
+    n = x.shape[-1]
+
+    def mean(a):
+        return a.sum(axis=-1, keepdims=True) * (1.0 / n)
+    xhat = x - mean(x)
+    inv_std = (mean(xhat * xhat) + LN_EPS) ** -0.5
+    xhat *= inv_std
+
+    def output():
+        return xhat * gamma + beta
+
+    def backward(g):
+        gx = g * gamma
+        return (inv_std * (gx - mean(gx) - xhat * mean(gx * xhat)),
+                _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape))
+
+    return output, backward
+
+
 class Node:
     """A tensor's place in the autodiff graph: its adjoint buffer, the
     nodes of the parents that need a gradient, and the backward closure
@@ -218,31 +279,38 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _result(data: np.ndarray, parents: Sequence["Tensor"],
-                backward: Callable[[np.ndarray], None]) -> "Tensor":
+    def _node(data: np.ndarray, *edges, joint: Callable | None = None) -> "Tensor":
+        """An op's output from its edges. An edge is a ``(parent, grad)``
+        pair, and the backward adds ``grad(g)`` into each parent that
+        requires grad. With `joint` the edges are bare parents, and
+        ``joint(g)`` returns one gradient per edge from one pass; the entry
+        of a parent that requires no grad is dropped. Either way gradients
+        go in edge order, which is the order of ``_prev``, one addition per
+        edge: a parent used twice has two edges. The backward keeps the
+        parents' nodes, and its closures must capture arrays and shapes,
+        never a tensor."""
         if not np.isfinite(data).all():
             raise NumericError("operation produced non-finite values")
         out = Tensor.__new__(Tensor)
-        out.data = data
-        prev = tuple(p.node for p in parents if p.node is not None) if _GRAD_ENABLED else ()
-        out.node = Node(prev, backward) if prev else None
+        out.data, out.node = data, None
+        parents = edges if joint is not None else [parent for parent, _ in edges]
+        need = [parent.node is not None for parent in parents]
+        if not (_GRAD_ENABLED and any(need)):
+            return out
+        prev = tuple(parent.node for parent in parents if parent.node is not None)
+        if joint is None:
+            fns = [grad for (_, grad), n in zip(edges, need) if n]
+
+            def backward(g):
+                for node, grad in zip(prev, fns):
+                    node._accum(grad(g))
+        else:
+            def backward(g):
+                for node, grad in zip(prev, itertools.compress(joint(g), need)):
+                    node._accum(grad)
+
+        out.node = Node(prev, backward)
         return out
-
-    @staticmethod
-    def _node(data: np.ndarray,
-              *edges: tuple["Tensor", Callable[[np.ndarray], np.ndarray]]) -> "Tensor":
-        """An op's output from its ``(parent, grad)`` edges: the backward adds
-        ``grad(g)`` into each parent that requires grad, in edge order, which
-        is the order of ``_prev``. A parent used twice has two edges. The
-        backward keeps the parents' nodes, and the ``grad`` closures must
-        capture arrays and shapes, never a tensor."""
-        live = [(parent.node, grad) for parent, grad in edges if parent.node is not None]
-
-        def backward(g):
-            for node, grad in live:
-                node._accum(grad(g))
-
-        return Tensor._result(data, [parent for parent, _ in edges], backward)
 
     # -- basic properties -----------------------------------------------------
 
@@ -398,15 +466,8 @@ class Tensor:
 
     def gelu(self):
         x = self.data
-        cdf = erf(x * _INV_SQRT2)
-        cdf += 1.0
-        cdf *= 0.5
-
-        def grad(g):
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-            return g * (cdf + x * pdf)
-
-        return Tensor._node(x * cdf, (self, grad))
+        cdf = _gelu_cdf(x)
+        return Tensor._node(x * cdf, (self, lambda g: g * _gelu_slope(x, cdf)))
 
     # -- backward -------------------------------------------------------------
 
@@ -462,6 +523,9 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
     shape = logits.data.shape
     z = logits.data.reshape(-1, shape[-1])
     hit = np.arange(len(z)), np.asarray(targets, dtype=np.int64).reshape(-1)
+    bad = hit[1][(hit[1] < 0) | (hit[1] >= shape[-1])]
+    if bad.size:  # a negative target would pick a logit from the end of its row
+        raise ContractError(f"target {bad[0]} outside [0, {shape[-1]})")
     w = np.broadcast_to(weights, shape[:-1]).reshape(-1)
     probs = z - z.max(axis=-1, keepdims=True)  # log-sum-exp shift
     picked = probs[hit]
@@ -494,25 +558,11 @@ def weighted_square_error(pred: Tensor, target: np.ndarray, weights) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine, as
-    one node whose backward keeps only xhat and 1/std (Ba et al., 2016)."""
+    one node whose backward keeps only xhat and 1/std."""
     if gamma.data.shape[-1] != x.data.shape[-1] or beta.data.shape[-1] != x.data.shape[-1]:
         raise DimensionError("gamma/beta must match the last axis of x")
-
-    n, gd, beta_shape = x.data.shape[-1], gamma.data, beta.data.shape
-
-    def mean(a):  # sum times 1/n as in Tensor.mean: outputs equal the composition bitwise
-        return a.sum(axis=-1, keepdims=True) * (1.0 / n)
-    xhat = x.data - mean(x.data)
-    inv_std = (mean(xhat * xhat) + LN_EPS) ** -0.5
-    xhat *= inv_std
-
-    def dx(g):
-        gx = g * gd
-        return inv_std * (gx - mean(gx) - xhat * mean(gx * xhat))
-
-    return Tensor._node(xhat * gd + beta.data, (x, dx),
-                        (gamma, lambda g: _unbroadcast(g * xhat, gd.shape)),
-                        (beta, lambda g: _unbroadcast(g, beta_shape)))
+    output, backward = _layer_norm(x.data, gamma.data, beta.data)
+    return Tensor._node(output(), x, gamma, beta, joint=backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -522,37 +572,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             b is not None and b.data.shape != w.data.shape[1:]):
         raise DimensionError(f"linear map of {x.data.shape} by {w.data.shape}, bias {b}")
     xd, wd = x.data, w.data
-    out = xd @ wd
-    if b is not None:
-        out += b.data
-
-    def rows(g):
-        return g.reshape(-1, g.shape[-1])
-    bias = () if b is None else ((b, lambda g: rows(g).sum(axis=0)),)
-    return Tensor._node(out, (x, lambda g: g @ wd.T),
-                        (w, lambda g: xd.reshape(-1, wd.shape[0]).T @ rows(g)), *bias)
+    bias = () if b is None else ((b, lambda g: _rows(g).sum(axis=0)),)
+    return Tensor._node(_affine(xd, wd, None if b is None else b.data),
+                        (x, lambda g: g @ wd.T),
+                        (w, lambda g: _rows(xd).T @ _rows(g)), *bias)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              key_mask: np.ndarray | None = None, record: list | None = None) -> Tensor:
-    """Multi-head ``softmax(q·kᵀ/√d_h)·v`` of (B, Nq, d) queries over
-    (B, Nkv, d) keys and values as one node. `key_mask`, the (B, Nkv) bool
-    mask of real keys, leaves out the pads: their scores get ``NEG_MASK_BIAS``,
-    so beside a real key their probabilities are exactly 0. When the scores of
-    all B·h head slices fit ``ATTENTION_TILE_BYTES``, or `record` takes the
-    (B, h, Nq, Nkv) probabilities, the node is one tile and the backward keeps
-    them. Otherwise the slices run in tiles on the ``TILE_WORKERS``, which
-    share the budget; the backward keeps only each row's max and sum and
-    recomputes the tile's probabilities (FlashAttention's trade, Dao et al.,
-    2022). Both passes compute probabilities with the same operations, and
-    each tile writes only its own slices, so every tiling gives the same
-    bits."""
-    (b, n_q, d), n_kv = q.data.shape, k.data.shape[1]
-    if d % n_heads or k.data.shape != (b, n_kv, d) or v.data.shape != k.data.shape or (
-            key_mask is not None and np.shape(key_mask) != (b, n_kv)):
-        raise DimensionError(f"attention of {q.data.shape} over {k.data.shape} keys and "
-                             f"{v.data.shape} values in {n_heads} heads, key mask "
-                             f"{np.shape(key_mask)}")
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
+            key_mask, record: list | None):
+    """Multi-head attention on arrays; see ``attention``. Returns the
+    (B, Nq, d) output and ``backward(g, need)``, which maps the output's
+    gradient to those of q, k and v, each None where `need` says no."""
+    (b, n_q, d), n_kv = q.shape, k.shape[1]
+    if key_mask is not None:
+        key_mask = np.asarray(key_mask)
+    if d % n_heads or k.shape != (b, n_kv, d) or v.shape != k.shape or (
+            key_mask is not None and key_mask.shape != (b, n_kv)):
+        raise DimensionError(f"attention of {q.shape} over {k.shape} keys and {v.shape} "
+                             f"values in {n_heads} heads, key mask {np.shape(key_mask)}")
+    if key_mask is not None and key_mask.dtype != bool:
+        raise DimensionError(f"key mask of dtype {key_mask.dtype}: it must be bool")
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
     bh = b * n_heads
@@ -562,7 +601,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             a.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)).reshape(bh, -1, dh)
     def merge(a):  # (B·h, N, d_h) -> (B, N, d)
         return a.reshape(b, n_heads, -1, dh).transpose(0, 2, 1, 3).reshape(b, -1, d)
-    qh, kh, vh = split(q.data * scale), split(k.data), split(v.data)
+    qh, kh, vh = split(q * scale), split(k), split(v)
     bias = None
     if key_mask is not None and not key_mask.all():  # one (1, Nkv) row per head slice
         bias = np.repeat(np.where(key_mask, 0.0, NEG_MASK_BIAS), n_heads, axis=0)[:, None]
@@ -596,15 +635,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     _each_tile(lambda t: np.matmul(probabilities(t, True) if probs is None else probs,
                                    vh[t], out=heads[t]), tiles)
     out = merge(heads)
-    qn, kn, vn = q.node, k.node, v.node  # None where no gradient is needed
 
-    def backward(g):
+    def backward(g, need):
         gh = split(g)
         # the row dot dP·P equals dO·O
         dot = (g * out).reshape(b, n_q, n_heads, dh).sum(axis=-1)
         dot = dot.transpose(0, 2, 1).reshape(bh, n_q, 1)
-        dq, dk, dv = (None if node is None else np.empty_like(a)
-                      for a, node in ((qh, qn), (kh, kn), (vh, vn)))
+        dq, dk, dv = (np.empty_like(a) if n else None for a, n in zip((qh, kh, vh), need))
 
         def tile(t):
             p = probabilities(t, False) if probs is None else probs
@@ -620,14 +657,124 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                 np.matmul(ds.swapaxes(-1, -2), qh[t], out=dk[t])
 
         _each_tile(tile, tiles)
-        if dv is not None:
-            vn._accum(merge(dv))
-        if dq is not None:
-            qn._accum(merge(dq) * scale)
-        if dk is not None:
-            kn._accum(merge(dk))
+        return (None if dq is None else merge(dq) * scale,
+                None if dk is None else merge(dk), None if dv is None else merge(dv))
 
-    return Tensor._result(out, (q, k, v), backward)
+    return out, backward
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              key_mask=None, record: list | None = None) -> Tensor:
+    """Multi-head ``softmax(q·kᵀ/√d_h)·v`` of (B, Nq, d) queries over
+    (B, Nkv, d) keys and values as one node. `key_mask`, the (B, Nkv) bool
+    mask of real keys (any array-like), leaves out the pads: their scores get
+    ``NEG_MASK_BIAS``, so beside a real key their probabilities are exactly 0.
+    When the scores of all B·h head slices fit ``ATTENTION_TILE_BYTES``, or
+    `record` takes the (B, h, Nq, Nkv) probabilities, the node is one tile and
+    the backward keeps them. Otherwise the slices run in tiles on the
+    ``TILE_WORKERS``, which share the budget; the backward keeps only each
+    row's max and sum and recomputes the tile's probabilities
+    (FlashAttention's trade, Dao et al., 2022). Both passes compute
+    probabilities with the same operations, and each tile writes only its own
+    slices, so every tiling gives the same bits."""
+    out, backward = _attend(q.data, k.data, v.data, n_heads, key_mask, record)
+    need = [t.node is not None for t in (q, k, v)]
+    return Tensor._node(out, q, k, v, joint=lambda g: backward(g, need))
+
+
+def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor], n_heads: int,
+                       key_mask=None, ctx: Tensor | None = None, record: list | None = None,
+                       cls_only: bool = False) -> Tensor:
+    """The attention sublayer of a pre-norm block as one node:
+    ``attention(u·wq + bq, c·wk, c·wv + bv)·wo + bo`` with ``u`` the layer
+    norm of the (B, N, d) rows `x` under ``norm = (gamma, beta)``, and ``c``
+    either u (self-attention) or the (B, Nc, d) `ctx` (cross-attention; ctx
+    gets no norm). ``maps = (wq, bq, wk, wv, bv, wo, bo)``; the key map has no
+    bias, since it would add the same amount to every score of a query.
+    `key_mask` (B, Nc) marks the real rows of c, and `record` takes the
+    probabilities, as in ``attention``. With `cls_only` only row 0 of u
+    queries, and the output is (B, 1, d).
+
+    The backward keeps xhat and 1/std, the head-split q, k and v, the
+    attention output and its probabilities (or row max and sum). It rebuilds
+    u from xhat with the forward's operations and does not recompute the
+    projections, so value and gradients equal the layer_norm / linear /
+    attention / linear composition's bitwise: u's gradient adds the q, k and
+    v terms in the composition's order, and ctx has an edge for k and one
+    for v."""
+    gamma, beta = norm
+    wq, bq, wk, wv, bv, wo, bo = maps
+    d = x.data.shape[-1]
+    if any(w.data.shape != (d, d) for w in (wq, wk, wv, wo)) or any(
+            t.data.shape != (d,) for t in (gamma, beta, bq, bv, bo)) or (
+            ctx is not None and ctx.data.shape[-1] != d):
+        raise DimensionError(f"attention sublayer of {x.data.shape} rows by maps of "
+                             f"{[w.data.shape for w in maps]}")
+    wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
+    norm_out, norm_backward = _layer_norm(x.data, gamma.data, beta.data)
+    u = norm_out()
+    cd = None if ctx is None else ctx.data
+    kv = u if cd is None else cd
+    att, attend_backward = _attend(_affine(u[:, :1] if cls_only else u, wqd, bq.data),
+                                   kv @ wkd, _affine(kv, wvd, bv.data), n_heads, key_mask, record)
+
+    def backward(g):
+        dwo, dbo = _rows(att).T @ _rows(g), _rows(g).sum(axis=0)
+        dq, dk, dv = attend_backward(g @ wod.T, (True, True, True))
+        u = norm_out()
+        uq, kv = u[:, :1] if cls_only else u, u if cd is None else cd
+        dwq, dbq = _rows(uq).T @ _rows(dq), _rows(dq).sum(axis=0)
+        dwk = _rows(kv).T @ _rows(dk)
+        dwv, dbv = _rows(kv).T @ _rows(dv), _rows(dv).sum(axis=0)
+        du = dq @ wqd.T
+        if cls_only:  # scattered into the rows as a slice's backward does
+            du_q, du = du, np.zeros(u.shape)
+            du[:, :1] = du_q
+        dkv_k, dkv_v = dk @ wkd.T, dv @ wvd.T
+        if cd is None:
+            du += dkv_k
+            du += dkv_v
+        dx, dgamma, dbeta = norm_backward(du)
+        ctx_k, ctx_v = ((), ()) if cd is None else ((dkv_k,), (dkv_v,))
+        return (dx, dgamma, dbeta, dwq, dbq, *ctx_k, dwk, *ctx_v, dwv, dbv, dwo, dbo)
+
+    ctx_edge = () if ctx is None else (ctx,)
+    return Tensor._node(_affine(att, wod, bo.data), x, gamma, beta, wq, bq, *ctx_edge, wk,
+                        *ctx_edge, wv, bv, wo, bo, joint=backward)
+
+
+def ffn_sublayer(x: Tensor, norm: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor) -> Tensor:
+    """The FFN sublayer of a pre-norm block as one node:
+    ``GELU(u·w1 + b1)·w2 + b2`` with ``u`` the layer norm of `x` under
+    ``norm = (gamma, beta)``. The backward keeps xhat and 1/std, the
+    pre-activation h and its Φ(h). It rebuilds u and the GELU output
+    ``h * Φ(h)`` with the forward's operations and does not recompute erf,
+    so value and gradients equal the layer_norm / linear / gelu / linear
+    composition's bitwise."""
+    gamma, beta = norm
+    d, f = x.data.shape[-1], w1.data.shape[-1]
+    if [t.data.shape for t in (gamma, beta, w1, b1, w2, b2)] != [(d,), (d,), (d, f), (f,),
+                                                                 (f, d), (d,)]:
+        raise DimensionError(f"FFN sublayer of {x.data.shape} rows by {w1.data.shape} "
+                             f"and {w2.data.shape} maps")
+    w1d, w2d = w1.data, w2.data
+    norm_out, norm_backward = _layer_norm(x.data, gamma.data, beta.data)
+    h = _affine(norm_out(), w1d, b1.data)
+    cdf = _gelu_cdf(h)
+
+    def backward(g):
+        a = h * cdf
+        da = g @ w2d.T
+        dw2, db2 = _rows(a).T @ _rows(g), _rows(g).sum(axis=0)
+        del a
+        dh = da * _gelu_slope(h, cdf)
+        dw1, db1 = _rows(norm_out()).T @ _rows(dh), _rows(dh).sum(axis=0)
+        dx, dgamma, dbeta = norm_backward(dh @ w1d.T)
+        return dx, dgamma, dbeta, dw1, db1, dw2, db2
+
+    return Tensor._node(_affine(h * cdf, w2d, b2.data), x, gamma, beta, w1, b1, w2, b2,
+                        joint=backward)
 
 
 def unit_rows(x: Tensor) -> Tensor:

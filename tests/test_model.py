@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alignfuse import model as model_module
 from alignfuse.data import (
     CLS_ID,
     Batch,
@@ -16,7 +17,7 @@ from alignfuse.data import (
     tokenize,
 )
 from alignfuse.errors import ConfigError, DimensionError, VocabError
-from alignfuse.model import FFN_MULT, AlignFuseModel, ModelConfig, param_specs
+from alignfuse.model import AlignFuseModel, ModelConfig, param_specs
 from alignfuse.tensor import RngStream, Tensor, finite_diff_check
 
 
@@ -166,6 +167,13 @@ class TestEmbedText:
                              length=2)
         with pytest.raises(VocabError):
             model.embed_text(toks.ids[None])
+
+    @pytest.mark.parametrize("bad", [-3, -1, 12])
+    def test_id_outside_the_vocabulary_is_named(self, bad):
+        # a negative id would read a row from the end of txt.emb
+        model = AlignFuseModel(tiny_config(), seed=0)
+        with pytest.raises(VocabError, match=f"token id {bad} "):
+            model.embed_text(np.array([[1, bad, 5]]))
 
 
 class TestApplyMask:
@@ -683,19 +691,18 @@ class TestClsOnlyInference:
         cfg = tiny_config(n_enc_layers=2, l_max=12)
         model = AlignFuseModel(cfg, seed=0)
         batch = Batch.stack(*ragged_batch(cfg, [3, 8, 5]))
-        f = FFN_MULT * cfg.d_model
-        hidden, gelu = [], Tensor.gelu
+        rows, ffn = [], model_module.ffn_sublayer
 
-        def spy(t):  # the l1 output goes in, the GELU output comes out
-            out = gelu(t)
-            hidden.extend(a.shape for a in (t.data, out.data) if a.ndim == 3 and a.shape[-1] == f)
+        def spy(x, *maps):  # the FFN node's input rows and its output rows
+            out = ffn(x, *maps)
+            rows.extend([x.shape, out.shape])
             return out
-        with mock.patch.object(Tensor, "gelu", spy):
+        with mock.patch.object(model_module, "ffn_sublayer", spy):
             model.classify(batch)
-        # the l1 and GELU outputs: block 0 on every row, block 1 on [CLS] alone
-        n_img, n_txt = cfg.n_patches + 1, batch.ids.shape[1]
-        assert sorted(hidden) == sorted(2 * [(3, n_img, f)] + 2 * [(3, n_txt, f)]
-                                        + 4 * [(3, 1, f)])
+        # block 0 on every row, block 1 on [CLS] alone
+        n_img, n_txt, d = cfg.n_patches + 1, batch.ids.shape[1], cfg.d_model
+        assert sorted(rows) == sorted(2 * [(3, n_img, d)] + 2 * [(3, n_txt, d)]
+                                      + 4 * [(3, 1, d)])
 
     def test_no_encoder_block_has_no_attention_map(self):
         cfg = tiny_config(n_enc_layers=0)

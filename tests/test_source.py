@@ -83,9 +83,10 @@ def test_scipy_use_is_scipy_special_alone():
 
 
 def test_one_owner_for_gradient_routing():
-    # ops hand (parent, gradient) edges to Tensor._node, which alone adds them
-    # into the parents' graph nodes; attention keeps its own backward, because
-    # one tile loop yields dq, dk and dv together; Node.backward seeds the sweep
+    # ops hand Tensor._node their (parent, gradient) edges, or their parents
+    # and one joint backward that returns a gradient per edge (attention and
+    # the sublayer nodes); _node alone adds them into the parents' graph
+    # nodes, and Node.backward seeds the sweep
     tree = ast.parse((Path(alignfuse.__file__).parent / "tensor.py").read_text())
     callers: dict[str, set[str]] = {"_accum": set(), "_result": set()}
     for top in tree.body:
@@ -97,8 +98,34 @@ def test_one_owner_for_gradient_routing():
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr in callers):
                     callers[node.func.attr].add(owner)
-    assert callers == {"_accum": {"Tensor._node", "Node.backward", "attention"},
-                       "_result": {"Tensor._node", "attention"}}
+    assert callers == {"_accum": {"Tensor._node", "Node.backward"}, "_result": set()}
+
+
+def test_blocks_reach_no_unfused_op():
+    # each sublayer of a block is one graph node: the model's methods reach
+    # the engine's layer_norm, gelu and linear only through _linear, for the
+    # patch embedding, the decoder heads and the fusion MLP, and _block
+    # reaches none of them
+    tree = ast.parse((Path(alignfuse.__file__).parent / "model.py").read_text())
+    (model,) = [top for top in tree.body
+                if isinstance(top, ast.ClassDef) and top.name == "AlignFuseModel"]
+    calls = {}
+    for fn in model.body:
+        if isinstance(fn, ast.FunctionDef):
+            funcs = [node.func for node in ast.walk(fn) if isinstance(node, ast.Call)]
+            calls[fn.name] = {f.id if isinstance(f, ast.Name) else f.attr for f in funcs
+                              if isinstance(f, (ast.Name, ast.Attribute))}
+    unfused = {"layer_norm", "gelu", "linear"}
+    assert {name for name, called in calls.items() if called & unfused} == {"_linear"}
+    assert {name for name, called in calls.items() if "_linear" in called} == {
+        "embed_image", "decode_modality", "fuse_classify"}
+    assert {"attention_sublayer", "ffn_sublayer"} <= calls["_block"]
+    reached, stack = set(), ["_block"]
+    while stack:
+        for name in calls[stack.pop()] & calls.keys() - reached:
+            reached.add(name)
+            stack.append(name)
+    assert reached == set()
 
 
 def assigned_attributes(node: ast.AST) -> list[str]:

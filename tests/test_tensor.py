@@ -23,8 +23,10 @@ from alignfuse.tensor import (
     RngStream,
     Tensor,
     attention,
+    attention_sublayer,
     concat,
     cross_entropy,
+    ffn_sublayer,
     finite_diff_check,
     layer_norm,
     linear,
@@ -70,6 +72,38 @@ def attention_composition(q, k, v, n_heads, key_mask=None):
     if key_mask is not None:
         scores = scores + np.where(key_mask, 0.0, NEG_MASK_BIAS)[:, None, None, :]
     return (softmax(scores, axis=-1) @ vh).transpose(0, 2, 1, 3).reshape(b, n_q, d)
+
+
+def attention_sublayer_composition(x, norm, maps, n_heads, key_mask=None, ctx=None,
+                                   record=None, cls_only=False):
+    """The pre-norm attention sublayer as the layer_norm, linear and attention
+    nodes that the one-node `attention_sublayer` replaced: the oracle for its
+    values and gradients, bit for bit."""
+    wq, bq, wk, wv, bv, wo, bo = maps
+    u = layer_norm(x, *norm)
+    kv = u if ctx is None else ctx
+    q = linear(u[:, :1] if cls_only else u, wq, bq)
+    heads = attention(q, linear(kv, wk), linear(kv, wv, bv), n_heads, key_mask, record)
+    return linear(heads, wo, bo)
+
+
+def ffn_sublayer_composition(x, norm, w1, b1, w2, b2):
+    """The pre-norm FFN sublayer as the layer_norm, linear and gelu nodes
+    that the one-node `ffn_sublayer` replaced: the oracle for its values
+    and gradients, bit for bit."""
+    return linear(linear(layer_norm(x, *norm), w1, b1).gelu(), w2, b2)
+
+
+def sublayer_weights(d, seed, f=None):
+    """(gamma, beta) and the attention maps (wq, bq, wk, wv, bv, wo, bo) of
+    width d, or with `f` the FFN maps (w1, b1, w2, b2) of hidden width f."""
+    rng = np.random.default_rng(seed)
+    norm = (Tensor(rng.uniform(0.5, 1.5, d), requires_grad=True),
+            Tensor(rng.normal(size=d), requires_grad=True))
+    shapes = ([(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)] if f is None
+              else [(d, f), (f,), (f, d), (d,)])
+    maps = [Tensor(rng.normal(size=s) / math.sqrt(s[0]), requires_grad=True) for s in shapes]
+    return norm, maps
 
 
 def node_and_oracle_grads(node, oracle, inputs, w):
@@ -287,6 +321,15 @@ class TestAttention:
         for real in (np.ones((2, 4), dtype=bool), np.ones((1, 3), dtype=bool)):
             with pytest.raises(DimensionError):
                 attention(q, k, v, 2, real)
+
+    def test_key_mask_is_any_bool_array_like(self):
+        q, k, v = (rand_tensor((1, 3, 4), seed=s) for s in range(3))
+        want = attention(q, k, v, 2, np.array([[True, True, False]])).data
+        assert attention(q, k, v, 2, key_mask=[[True, True, False]]).data.tobytes() == \
+            want.tobytes()
+        for mask in ([[1, 1, 0]], np.ones((1, 3))):
+            with pytest.raises(DimensionError, match="bool"):
+                attention(q, k, v, 2, mask)
 
     def test_all_real_mask_gives_the_unmasked_bits(self):
         q, k, v = (rand_tensor((2, 3, 4), seed=s) for s in range(3))
@@ -506,7 +549,126 @@ class TestAttention:
         assert peak < self.BIG_PROBS_BYTES
 
 
+class TestAttentionSublayer:
+    def test_edges(self):
+        x, ctx = rand_tensor((2, 3, 4)), rand_tensor((2, 5, 4), seed=1)
+        norm, maps = sublayer_weights(4, seed=2)
+        wq, bq, wk, wv, bv, wo, bo = (t.node for t in maps)
+        out = attention_sublayer(x, norm, maps, 2)
+        assert out._prev == (x.node, *(t.node for t in norm), *(t.node for t in maps))
+        # keys and values each take an edge into ctx, in the order k, v
+        out = attention_sublayer(x, norm, maps, 2, ctx=ctx)
+        assert out._prev == (x.node, *(t.node for t in norm), wq, bq, ctx.node, wk, ctx.node,
+                             wv, bv, wo, bo)
+
+    @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
+    def test_finite_differences(self, cross):
+        x, ctx = rand_tensor((2, 3, 4)), rand_tensor((2, 5, 4), seed=1)
+        norm, maps = sublayer_weights(4, seed=2)
+        real = np.array([[True] * 5, [True, False, True, True, False]])
+        c = rand_tensor((2, 3, 4), seed=3, requires_grad=False)
+
+        def loss(_):
+            if cross:
+                return (attention_sublayer(x, norm, maps, 2, real, ctx=ctx) * c).sum()
+            return (attention_sublayer(x, norm, maps, 2, real[:, :3]) * c).sum()
+        # the error is relative per entry: a bv gradient entry of 6e-5 reads 2e-6
+        # of rounding noise at step 1e-5; every other tensor reads below 3e-8
+        for t in (x, *((ctx,) if cross else ()), *norm, *maps):
+            assert finite_diff_check(loss, t) < 1e-5
+
+    @settings(max_examples=80, deadline=None)
+    @given(b=st.integers(1, 3), n=st.integers(1, 5), n_ctx=st.integers(1, 5),
+           n_heads=st.integers(1, 3), dh=st.integers(1, 3), pads=st.booleans(),
+           cross=st.booleans(), cls_only=st.booleans(), record=st.booleans(),
+           per_tile=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2**16))
+    def test_matches_composition_bitwise(self, b, n, n_ctx, n_heads, dh, pads, cross, cls_only,
+                                         record, per_tile, seed):
+        rng = np.random.default_rng(seed)
+        d = n_heads * dh
+        x = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
+        ctx = Tensor(rng.normal(size=(b, n_ctx, d)), requires_grad=True) if cross else None
+        norm, maps = sublayer_weights(d, seed)
+        n_kv = n_ctx if cross else n
+        real = None
+        if pads:  # key 0 stays real, as [CLS] does
+            real = rng.random((b, n_kv)) < 0.6
+            real[:, 0] = True
+        n_q = 1 if cls_only else n
+        w = rng.uniform(0.5, 1.5, size=(b, n_q, d))
+        leaves = [x, *((ctx,) if cross else ()), *norm, *maps]
+        runs = []
+        for f in (attention_sublayer, attention_sublayer_composition):
+            rec = [] if record else None
+            with pytest.MonkeyPatch.context() as mp:
+                if per_tile is not None:  # tiles of per_tile head slices, unless record
+                    mp.setattr(tensor, "ATTENTION_TILE_BYTES", per_tile * 8 * n_q * n_kv)
+                out = f(x, norm, maps, n_heads, real, ctx=ctx, record=rec, cls_only=cls_only)
+                (out * w).sum().backward()
+            runs.append([out.data, *(rec or []), *(t.grad for t in leaves)])
+            for t in leaves:
+                t.grad = None
+        assert len(runs[0]) == len(runs[1])
+        for got, want in zip(*runs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_list_key_mask(self):
+        x = rand_tensor((1, 3, 4))
+        norm, maps = sublayer_weights(4, seed=1)
+        want = attention_sublayer(x, norm, maps, 2, np.array([[True, True, False]])).data
+        got = attention_sublayer(x, norm, maps, 2, [[True, True, False]]).data
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(DimensionError, match="bool"):
+            attention_sublayer(x, norm, maps, 2, [[1, 1, 0]])
+
+    def test_mismatched_maps(self):
+        norm, maps = sublayer_weights(4, seed=1)
+        with pytest.raises(DimensionError):
+            attention_sublayer(rand_tensor((1, 3, 6)), norm, maps, 2)
+        with pytest.raises(DimensionError):
+            attention_sublayer(rand_tensor((1, 3, 4)), norm, maps, 2, ctx=rand_tensor((1, 2, 6)))
+
+
+class TestFFNSublayer:
+    def test_edges(self):
+        x = rand_tensor((2, 3, 4))
+        norm, maps = sublayer_weights(4, seed=1, f=8)
+        out = ffn_sublayer(x, norm, *maps)
+        assert out._prev == (x.node, *(t.node for t in norm), *(t.node for t in maps))
+
+    def test_finite_differences(self):
+        x = rand_tensor((2, 3, 4))
+        norm, maps = sublayer_weights(4, seed=1, f=8)
+        c = rand_tensor((2, 3, 4), seed=2, requires_grad=False)
+        for t in (x, *norm, *maps):
+            assert finite_diff_check(lambda _: (ffn_sublayer(x, norm, *maps) * c).sum(), t) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=3), d=st.integers(1, 6),
+           f=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def test_matches_composition_bitwise(self, lead, d, f, seed):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(*lead, d)), requires_grad=True)
+        norm, maps = sublayer_weights(d, seed, f=f)
+        w = rng.uniform(0.5, 1.5, size=(*lead, d))
+        runs = node_and_oracle_grads(lambda x, *p: ffn_sublayer(x, p[:2], *p[2:]),
+                                     lambda x, *p: ffn_sublayer_composition(x, p[:2], *p[2:]),
+                                     [x, *norm, *maps], w)
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+
+    def test_mismatched_maps(self):
+        norm, maps = sublayer_weights(4, seed=1, f=8)
+        with pytest.raises(DimensionError):
+            ffn_sublayer(rand_tensor((1, 3, 4)), norm, maps[2], maps[1], maps[0], maps[3])
+
+
 class TestCrossEntropy:
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_target_outside_the_row_is_named(self, bad):
+        with pytest.raises(ContractError, match=f"target {bad} "):
+            cross_entropy(rand_tensor((2, 4)), [0, bad])
+
     def test_leading_axes_and_scalar_weight(self):
         x = rand_tensor((2, 3, 4), seed=13)
         assert finite_diff_check(
@@ -589,6 +751,11 @@ NODE_OPS = {
     "cross_entropy": ([(2, 3)], lambda a: cross_entropy(a, [0, 2], [0.5, 2.0])),
     "layer_norm": ([(2, 3), (3,), (3,)], layer_norm),
     "linear": ([(2, 3), (3, 4), (4,)], linear),
+    "attention": ([(2, 3, 4), (2, 5, 4), (2, 5, 4)], lambda q, k, v: attention(q, k, v, 2)),
+    "attention_sublayer": ([(2, 3, 4), (4,), (4,), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4),
+                            (4,)], lambda x, g, b, *maps: attention_sublayer(x, (g, b), maps, 2)),
+    "ffn_sublayer": ([(2, 3, 4), (4,), (4,), (4, 8), (8,), (8, 4), (4,)],
+                     lambda x, g, b, *maps: ffn_sublayer(x, (g, b), *maps)),
     "weighted_square_error": ([(2, 3)], lambda a: weighted_square_error(
         a, np.ones((2, 3)), np.array([[0.5], [2.0]]))),
 }
