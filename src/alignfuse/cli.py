@@ -20,6 +20,7 @@ import numpy as np
 from .checkpoint import atomic_write
 from .data import (
     build_vocab,
+    dataset_manifest,
     generate_synthetic_dataset,
     load_dataset,
     save_dataset,
@@ -36,12 +37,12 @@ from .errors import (
 from .model import AlignFuseModel, ModelConfig, param_specs
 from .tensor import BLAS_THREADS, RngStream, no_grad
 from .train import (
-    PREDICT_CHUNK,
     AdamW,
     TrainConfig,
     collate,
     dataset_corpus,
     evaluate,
+    inference_chunks,
     load_model_checkpoint,
     modality_gap,
     predict,
@@ -124,7 +125,6 @@ def blas_build() -> dict | None:
 def write_run_manifest(out_dir: Path, dataset: str, model_cfg: ModelConfig,
                        train_cfg: TrainConfig) -> Path:
     ds = Path(dataset)
-    mpath = ds / "manifest.jsonl" if ds.is_dir() else ds
     manifest = {
         "command": "train",
         "dataset": str(ds.resolve()),
@@ -132,7 +132,7 @@ def write_run_manifest(out_dir: Path, dataset: str, model_cfg: ModelConfig,
         "seed": train_cfg.seed,
         "model_config": model_cfg.to_dict(),
         "train_config": train_cfg.to_dict(),
-        "checksums": {"dataset_manifest": sha256_file(mpath)},
+        "checksums": {"dataset_manifest": sha256_file(dataset_manifest(ds))},
         # the bits of a run depend on the BLAS build and the kernel it picks
         "blas": {"build": blas_build(), "threads": BLAS_THREADS},
     }
@@ -266,8 +266,7 @@ def cmd_export(args) -> int:
     else:
         # one atomic file: a chunk that fails leaves no partial export
         with atomic_write(out_dir / "attention.jsonl") as fh, no_grad():
-            for start in range(0, len(examples), PREDICT_CHUNK):
-                chunk = examples[start:start + PREDICT_CHUNK]
+            for start, chunk in inference_chunks(examples):
                 heat, txt_w = model.attention_maps(collate(chunk))
                 for i, ex in enumerate(chunk):
                     fh.write((json.dumps({

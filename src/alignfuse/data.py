@@ -241,12 +241,6 @@ def tokenize(text: str, vocab: Vocab, l_max: int) -> TokenSequence:
     return TokenSequence(ids=out, pad_mask=mask, length=length)
 
 
-def validate_ids(ids: np.ndarray, vocab_size: int) -> None:
-    bad = ids[(ids < 0) | (ids >= vocab_size)]
-    if bad.size:
-        raise VocabError(f"token id {bad[0]} outside the vocabulary [0, {vocab_size})")
-
-
 # ---------------------------------------------------------------------------
 # synthetic dataset generation
 
@@ -384,12 +378,19 @@ def read_volume(path: Path) -> np.ndarray:
     return volume
 
 
+def dataset_manifest(path: Path) -> Path:
+    """The manifest of the dataset at `path`: its manifest.jsonl when `path`
+    is a directory, else `path` itself."""
+    path = Path(path)
+    return path / "manifest.jsonl" if path.is_dir() else path
+
+
 def save_dataset(records: list[PatientRecord], out_dir: Path) -> Path:
     """Write manifest.jsonl plus one volume file per record; returns manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "volumes").mkdir(exist_ok=True)
-    manifest = out_dir / "manifest.jsonl"
+    manifest = dataset_manifest(out_dir)
     with open(manifest, "w") as fh:
         for i, rec in enumerate(records):
             rel = f"volumes/{i:05d}.vol"
@@ -406,9 +407,7 @@ def save_dataset(records: list[PatientRecord], out_dir: Path) -> Path:
 
 
 def load_dataset(manifest_path: Path) -> list[PatientRecord]:
-    manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "manifest.jsonl"
+    manifest_path = dataset_manifest(manifest_path)
     root = manifest_path.parent.resolve()
     records = []
     with open(manifest_path, "rb") as fh:

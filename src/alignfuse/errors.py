@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package, and the value check of
-the configuration dataclasses."""
+"""Exception hierarchy shared across the package, the value check of the
+configuration dataclasses, and the index check of token ids, targets and
+labels."""
 
 import math
 from dataclasses import fields
+
+import numpy as np
 
 
 class AlignFuseError(Exception):
@@ -73,3 +76,22 @@ def check_fields(cfg, least: dict[str, float]) -> None:
             raise ConfigError(f"{f.name} must be {noun}, not {value!r}")
         if f.name in least and value < least[f.name]:
             raise ConfigError(f"{f.name} must be >= {least[f.name]}, not {value!r}")
+
+
+def check_indices(values, n: int, noun: str, error: type[AlignFuseError]) -> np.ndarray:
+    """`values` as an int64 array of indices in [0, n), else `error` naming
+    the first value that is not one. A dtype that is not an integer one is
+    refused (a float would be truncated, and a bool is no index): the error
+    names the first float that is not a whole number, or the first value
+    when every one is whole (1.0, True). Otherwise it names the first value
+    outside the range (a negative one would index from the end)."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        flat = arr.reshape(-1)
+        frac = flat[flat != np.trunc(flat)] if arr.dtype.kind == "f" else flat[:0]
+        raise error(f"{noun} {(frac if frac.size else flat)[0].item()!r} of dtype "
+                    f"{arr.dtype} is not an integer")
+    bad = arr[(arr < 0) | (arr >= n)]
+    if bad.size:
+        raise error(f"{noun} {bad[0]} outside [0, {n})")
+    return arr.astype(np.int64, copy=False)

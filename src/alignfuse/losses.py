@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, LabelError, check_fields
+from .errors import ContractError, DimensionError, LabelError, check_fields, check_indices
 from .tensor import Tensor, as_tensor, cross_entropy, unit_rows, weighted_square_error
 
 
@@ -98,11 +98,7 @@ def classification_loss(class_logits: Tensor, labels) -> Tensor:
     """Negative log softmax probability of the true class, averaged over
     records. `class_logits` is (..., n_classes), `labels` an int array of
     its leading shape."""
-    n = class_logits.shape[-1]
-    labels = np.asarray(labels, dtype=np.int64)
-    bad = labels[(labels < 0) | (labels >= n)]
-    if bad.size:
-        raise LabelError(f"label {bad[0]} outside [0, {n})")
+    labels = check_indices(labels, class_logits.shape[-1], "label", LabelError)
     return cross_entropy(class_logits, labels, 1.0 / max(labels.size, 1))
 
 

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Batch, PatchGrid, TokenSequence, validate_ids
-from .errors import ConfigError, DimensionError, check_fields
+from .data import Batch, PatchGrid, TokenSequence
+from .errors import ConfigError, DimensionError, VocabError, check_fields, check_indices
 from .tensor import (
     LN_EPS,
     RngStream,
@@ -166,7 +166,7 @@ class AlignFuseModel:
                record: list | None = None, cls_only: bool = False) -> Tensor:
         """One pre-norm block on (B, N, d) rows: self-attention, then (with
         `ctx`) cross-attention into ctx through the `<m>.ca.<i>` weights of
-        block `<m>.enc.<i>`, then FFN, each one graph node plus a residual.
+        block `<m>.enc.<i>`, then FFN, each one graph node with its residual.
         The (B, N) and (B, Nctx) masks of real rows leave the pads of `x` and
         `ctx` out as keys. With `cls_only` only row 0 queries and comes out,
         (B, 1, d); keys and values still span every row."""
@@ -178,14 +178,13 @@ class AlignFuseModel:
         def maps(att):  # the key map has no bias
             return [p[f"{att}.{m}"]
                     for m in ("wq.w", "wq.b", "wk.w", "wv.w", "wv.b", "wo.w", "wo.b")]
-        sa = attention_sublayer(x, norm(f"{name}.ln1"), maps(f"{name}.sa"), heads, pad_mask,
-                                record=record, cls_only=cls_only)
-        x = (x[:, :1] if cls_only else x) + sa
+        x = attention_sublayer(x, norm(f"{name}.ln1"), maps(f"{name}.sa"), heads, pad_mask,
+                               record=record, cls_only=cls_only)
         if ctx is not None:
             ca = name.replace(".enc.", ".ca.")
-            x = x + attention_sublayer(x, norm(f"{ca}.ln"), maps(ca), heads, ctx_pad_mask, ctx=ctx)
+            x = attention_sublayer(x, norm(f"{ca}.ln"), maps(ca), heads, ctx_pad_mask, ctx=ctx)
         ffn = [p[f"{name}.ffn.{m}"] for m in ("l1.w", "l1.b", "l2.w", "l2.b")]
-        return x + ffn_sublayer(x, norm(f"{name}.ln2"), *ffn)
+        return ffn_sublayer(x, norm(f"{name}.ln2"), *ffn)
 
     # -- embedding ------------------------------------------------------------
 
@@ -204,7 +203,7 @@ class AlignFuseModel:
     def embed_text(self, ids: np.ndarray) -> Tensor:
         """(B, L) token ids -> (B, L, d) with the first L position
         embeddings."""
-        validate_ids(ids, self.config.vocab_size)
+        ids = check_indices(ids, self.config.vocab_size, "token id", VocabError)
         return self.params["txt.emb"][ids] + self.params["txt.pe"][:ids.shape[1]]
 
     # -- masking --------------------------------------------------------------

@@ -9,14 +9,15 @@ multiple uses of the same tensor, which is what the weight-shared encoders
 rely on. Nodes hold no values: an interior array lives as long as its
 tensor, or as a backward closure that captured it, and no longer.
 
-Each sublayer of a pre-norm transformer block is one node:
-``attention_sublayer`` (layer norm, q/k/v maps, multi-head attention,
-output map) and ``ffn_sublayer`` (layer norm, map, GELU, map). They keep
-what is costly to rebuild (xhat and 1/std, the projections, the attention
-output and its softmax statistics; the FFN's pre-activation and Φ of it)
-and rebuild the layer-norm and GELU outputs in backward with the forward's
-operations, so their values and gradients equal those of the composition of
-``layer_norm``, ``linear``, ``attention`` and ``Tensor.gelu`` bitwise.
+Each sublayer of a pre-norm transformer block, ``x + F(LN(x))``, is one
+node with its residual: ``attention_sublayer`` (layer norm, q/k/v maps,
+multi-head attention, output map) and ``ffn_sublayer`` (layer norm, map,
+GELU, map). They keep what is costly to rebuild (xhat and 1/std, the
+projections, the attention output and its softmax statistics; the FFN's
+pre-activation and Φ of it) and rebuild the layer-norm and GELU outputs in
+backward with the forward's operations, so their values and gradients equal
+those of ``x +`` the composition of ``layer_norm``, ``linear``,
+``attention`` and ``Tensor.gelu`` bitwise.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, DegenerateInputError, DimensionError, NumericError
+from .errors import (ContractError, DegenerateInputError, DimensionError, NumericError,
+                     check_indices)
 
 _GRAD_ENABLED = True
 
@@ -522,10 +524,7 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
     the backward is ``g * weights * (probs - onehot)``."""
     shape = logits.data.shape
     z = logits.data.reshape(-1, shape[-1])
-    hit = np.arange(len(z)), np.asarray(targets, dtype=np.int64).reshape(-1)
-    bad = hit[1][(hit[1] < 0) | (hit[1] >= shape[-1])]
-    if bad.size:  # a negative target would pick a logit from the end of its row
-        raise ContractError(f"target {bad[0]} outside [0, {shape[-1]})")
+    hit = np.arange(len(z)), check_indices(targets, shape[-1], "target", ContractError).reshape(-1)
     w = np.broadcast_to(weights, shape[:-1]).reshape(-1)
     probs = z - z.max(axis=-1, keepdims=True)  # log-sum-exp shift
     picked = probs[hit]
@@ -685,23 +684,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor], n_heads: int,
                        key_mask=None, ctx: Tensor | None = None, record: list | None = None,
                        cls_only: bool = False) -> Tensor:
-    """The attention sublayer of a pre-norm block as one node:
-    ``attention(u·wq + bq, c·wk, c·wv + bv)·wo + bo`` with ``u`` the layer
-    norm of the (B, N, d) rows `x` under ``norm = (gamma, beta)``, and ``c``
-    either u (self-attention) or the (B, Nc, d) `ctx` (cross-attention; ctx
-    gets no norm). ``maps = (wq, bq, wk, wv, bv, wo, bo)``; the key map has no
-    bias, since it would add the same amount to every score of a query.
-    `key_mask` (B, Nc) marks the real rows of c, and `record` takes the
-    probabilities, as in ``attention``. With `cls_only` only row 0 of u
-    queries, and the output is (B, 1, d).
+    """The attention sublayer of a pre-norm block and its residual as one
+    node: ``x + attention(u·wq + bq, c·wk, c·wv + bv)·wo + bo`` with ``u``
+    the layer norm of the (B, N, d) rows `x` under ``norm = (gamma, beta)``,
+    and ``c`` either u (self-attention) or the (B, Nc, d) `ctx`
+    (cross-attention; ctx gets no norm). ``maps = (wq, bq, wk, wv, bv, wo,
+    bo)``; the key map has no bias, since it would add the same amount to
+    every score of a query. `key_mask` (B, Nc) marks the real rows of c, and
+    `record` takes the probabilities, as in ``attention``. With `cls_only`
+    only row 0 of u queries and only row 0 of x is added: the output is
+    (B, 1, d).
 
     The backward keeps xhat and 1/std, the head-split q, k and v, the
     attention output and its probabilities (or row max and sum). It rebuilds
     u from xhat with the forward's operations and does not recompute the
-    projections, so value and gradients equal the layer_norm / linear /
-    attention / linear composition's bitwise: u's gradient adds the q, k and
-    v terms in the composition's order, and ctx has an edge for k and one
-    for v."""
+    projections, so value and gradients equal those of the residual add over
+    the layer_norm / linear / attention / linear composition bitwise: x has
+    an edge for the residual and then one for the norm, u's gradient adds
+    the q, k and v terms in the composition's order, and ctx has an edge for
+    k and one for v."""
     gamma, beta = norm
     wq, bq, wk, wv, bv, wo, bo = maps
     d = x.data.shape[-1]
@@ -717,6 +718,16 @@ def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor]
     kv = u if cd is None else cd
     att, attend_backward = _attend(_affine(u[:, :1] if cls_only else u, wqd, bq.data),
                                    kv @ wkd, _affine(kv, wvd, bv.data), n_heads, key_mask, record)
+    out = _affine(att, wod, bo.data)
+    out += x.data[:, :1] if cls_only else x.data  # the bits of x + out: addition commutes
+    shape = x.data.shape
+
+    def scatter(g):  # a row-0 gradient scattered into x's rows, as a slice's backward does
+        if not cls_only:
+            return g
+        full = np.zeros(shape)
+        full[:, :1] = g
+        return full
 
     def backward(g):
         dwo, dbo = _rows(att).T @ _rows(g), _rows(g).sum(axis=0)
@@ -726,32 +737,30 @@ def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor]
         dwq, dbq = _rows(uq).T @ _rows(dq), _rows(dq).sum(axis=0)
         dwk = _rows(kv).T @ _rows(dk)
         dwv, dbv = _rows(kv).T @ _rows(dv), _rows(dv).sum(axis=0)
-        du = dq @ wqd.T
-        if cls_only:  # scattered into the rows as a slice's backward does
-            du_q, du = du, np.zeros(u.shape)
-            du[:, :1] = du_q
+        du = scatter(dq @ wqd.T)
         dkv_k, dkv_v = dk @ wkd.T, dv @ wvd.T
         if cd is None:
             du += dkv_k
             du += dkv_v
         dx, dgamma, dbeta = norm_backward(du)
         ctx_k, ctx_v = ((), ()) if cd is None else ((dkv_k,), (dkv_v,))
-        return (dx, dgamma, dbeta, dwq, dbq, *ctx_k, dwk, *ctx_v, dwv, dbv, dwo, dbo)
+        return (scatter(g), dx, dgamma, dbeta, dwq, dbq, *ctx_k, dwk, *ctx_v, dwv, dbv, dwo, dbo)
 
     ctx_edge = () if ctx is None else (ctx,)
-    return Tensor._node(_affine(att, wod, bo.data), x, gamma, beta, wq, bq, *ctx_edge, wk,
-                        *ctx_edge, wv, bv, wo, bo, joint=backward)
+    return Tensor._node(out, x, x, gamma, beta, wq, bq, *ctx_edge, wk, *ctx_edge, wv, bv, wo, bo,
+                        joint=backward)
 
 
 def ffn_sublayer(x: Tensor, norm: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor,
                  b2: Tensor) -> Tensor:
-    """The FFN sublayer of a pre-norm block as one node:
-    ``GELU(u·w1 + b1)·w2 + b2`` with ``u`` the layer norm of `x` under
+    """The FFN sublayer of a pre-norm block and its residual as one node:
+    ``x + GELU(u·w1 + b1)·w2 + b2`` with ``u`` the layer norm of `x` under
     ``norm = (gamma, beta)``. The backward keeps xhat and 1/std, the
     pre-activation h and its Φ(h). It rebuilds u and the GELU output
     ``h * Φ(h)`` with the forward's operations and does not recompute erf,
-    so value and gradients equal the layer_norm / linear / gelu / linear
-    composition's bitwise."""
+    so value and gradients equal those of the residual add over the
+    layer_norm / linear / gelu / linear composition bitwise: x has an edge
+    for the residual and then one for the norm."""
     gamma, beta = norm
     d, f = x.data.shape[-1], w1.data.shape[-1]
     if [t.data.shape for t in (gamma, beta, w1, b1, w2, b2)] != [(d,), (d,), (d, f), (f,),
@@ -771,10 +780,11 @@ def ffn_sublayer(x: Tensor, norm: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: 
         dh = da * _gelu_slope(h, cdf)
         dw1, db1 = _rows(norm_out()).T @ _rows(dh), _rows(dh).sum(axis=0)
         dx, dgamma, dbeta = norm_backward(dh @ w1d.T)
-        return dx, dgamma, dbeta, dw1, db1, dw2, db2
+        return g, dx, dgamma, dbeta, dw1, db1, dw2, db2
 
-    return Tensor._node(_affine(h * cdf, w2d, b2.data), x, gamma, beta, w1, b1, w2, b2,
-                        joint=backward)
+    out = _affine(h * cdf, w2d, b2.data)
+    out += x.data  # the bits of x + out: addition commutes
+    return Tensor._node(out, x, x, gamma, beta, w1, b1, w2, b2, joint=backward)
 
 
 def unit_rows(x: Tensor) -> Tensor:

@@ -4,7 +4,7 @@ analytics, and checkpoint integration."""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -256,15 +256,22 @@ class EvalReport:
                 "per_class_counts": {str(k): v for k, v in self.per_class_counts.items()}}
 
 
+def inference_chunks(examples: list[Example]) -> Iterator[tuple[int, list[Example]]]:
+    """(start, records) for each run of PREDICT_CHUNK records, in order: the
+    batches of inference, so that its memory does not grow with the
+    dataset."""
+    for start in range(0, len(examples), PREDICT_CHUNK):
+        yield start, examples[start:start + PREDICT_CHUNK]
+
+
 def predict(model: AlignFuseModel,
             examples: list[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Softmax class probabilities plus image/text [CLS] embeddings, in
-    batches of PREDICT_CHUNK records so that memory does not grow with the
-    dataset."""
+    """Softmax class probabilities plus image/text [CLS] embeddings, one
+    inference chunk at a time."""
     probs, z_img, z_txt = [], [], []
     with no_grad():
-        for i in range(0, len(examples), PREDICT_CHUNK):
-            logits, zi, zt = model.classify(collate(examples[i:i + PREDICT_CHUNK]))
+        for _, chunk in inference_chunks(examples):
+            logits, zi, zt = model.classify(collate(chunk))
             probs.append(softmax(logits, axis=-1).data)
             z_img.append(zi.data)
             z_txt.append(zt.data)

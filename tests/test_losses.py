@@ -333,6 +333,18 @@ class TestClassificationLoss:
         with pytest.raises(LabelError):
             classification_loss(Tensor(np.zeros((2, 3))), [0, 3])
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_label_outside_the_classes_is_named(self, bad):
+        with pytest.raises(LabelError, match=f"label {bad} "):
+            classification_loss(Tensor(np.zeros((2, 3))), [0, bad])
+
+    @pytest.mark.parametrize("labels, named", [([0, 0.5], "0.5"), ([1.0, 2], "1.0"),
+                                               ([True, False], "True")])
+    def test_non_integer_label_is_named(self, labels, named):
+        # a float or bool label would be truncated or cast to a class
+        with pytest.raises(LabelError, match=f"label {named} of dtype "):
+            classification_loss(Tensor(np.zeros((2, 3))), labels)
+
 
 class TestTotalLoss:
     def _parts(self, a, b, c, d, grad=False):

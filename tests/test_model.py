@@ -175,6 +175,14 @@ class TestEmbedText:
         with pytest.raises(VocabError, match=f"token id {bad} "):
             model.embed_text(np.array([[1, bad, 5]]))
 
+    @pytest.mark.parametrize("row, named", [([1, 2.5, 5], "2.5"), ([1.0, 2, 5], "1.0")])
+    def test_non_integer_id_is_named(self, row, named):
+        # an array of float dtype would be truncated to a row; the error names
+        # the first fraction, or the first id when every one is whole
+        model = AlignFuseModel(tiny_config(), seed=0)
+        with pytest.raises(VocabError, match=f"token id {named} of dtype float64 "):
+            model.embed_text(np.array([row]))
+
 
 class TestApplyMask:
     def setup_method(self):

@@ -102,15 +102,20 @@ def test_one_owner_for_gradient_routing():
 
 
 def test_blocks_reach_no_unfused_op():
-    # each sublayer of a block is one graph node: the model's methods reach
-    # the engine's layer_norm, gelu and linear only through _linear, for the
-    # patch embedding, the decoder heads and the fusion MLP, and _block
-    # reaches none of them
+    # each sublayer of a block is one graph node with its residual: the
+    # model's methods reach the engine's layer_norm, gelu and linear only
+    # through _linear, for the patch embedding, the decoder heads and the
+    # fusion MLP, and _block reaches none of them, adds no residual and
+    # slices no [CLS] row
     tree = ast.parse((Path(alignfuse.__file__).parent / "model.py").read_text())
     (model,) = [top for top in tree.body
                 if isinstance(top, ast.ClassDef) and top.name == "AlignFuseModel"]
     calls = {}
     for fn in model.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_block":
+            assert [node.lineno for node in ast.walk(fn)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    or isinstance(node, ast.Slice)] == []
         if isinstance(fn, ast.FunctionDef):
             funcs = [node.func for node in ast.walk(fn) if isinstance(node, ast.Call)]
             calls[fn.name] = {f.id if isinstance(f, ast.Name) else f.attr for f in funcs

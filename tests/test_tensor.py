@@ -76,22 +76,23 @@ def attention_composition(q, k, v, n_heads, key_mask=None):
 
 def attention_sublayer_composition(x, norm, maps, n_heads, key_mask=None, ctx=None,
                                    record=None, cls_only=False):
-    """The pre-norm attention sublayer as the layer_norm, linear and attention
-    nodes that the one-node `attention_sublayer` replaced: the oracle for its
-    values and gradients, bit for bit."""
+    """The pre-norm attention sublayer and its residual as the layer_norm,
+    linear, attention, slice and add nodes that the one-node
+    `attention_sublayer` replaced: the oracle for its values and gradients,
+    bit for bit."""
     wq, bq, wk, wv, bv, wo, bo = maps
     u = layer_norm(x, *norm)
     kv = u if ctx is None else ctx
     q = linear(u[:, :1] if cls_only else u, wq, bq)
     heads = attention(q, linear(kv, wk), linear(kv, wv, bv), n_heads, key_mask, record)
-    return linear(heads, wo, bo)
+    return (x[:, :1] if cls_only else x) + linear(heads, wo, bo)
 
 
 def ffn_sublayer_composition(x, norm, w1, b1, w2, b2):
-    """The pre-norm FFN sublayer as the layer_norm, linear and gelu nodes
-    that the one-node `ffn_sublayer` replaced: the oracle for its values
-    and gradients, bit for bit."""
-    return linear(linear(layer_norm(x, *norm), w1, b1).gelu(), w2, b2)
+    """The pre-norm FFN sublayer and its residual as the layer_norm, linear,
+    gelu and add nodes that the one-node `ffn_sublayer` replaced: the oracle
+    for its values and gradients, bit for bit."""
+    return x + linear(linear(layer_norm(x, *norm), w1, b1).gelu(), w2, b2)
 
 
 def sublayer_weights(d, seed, f=None):
@@ -554,12 +555,13 @@ class TestAttentionSublayer:
         x, ctx = rand_tensor((2, 3, 4)), rand_tensor((2, 5, 4), seed=1)
         norm, maps = sublayer_weights(4, seed=2)
         wq, bq, wk, wv, bv, wo, bo = (t.node for t in maps)
+        # x takes the residual edge, then the norm's
         out = attention_sublayer(x, norm, maps, 2)
-        assert out._prev == (x.node, *(t.node for t in norm), *(t.node for t in maps))
+        assert out._prev == (x.node, x.node, *(t.node for t in norm), *(t.node for t in maps))
         # keys and values each take an edge into ctx, in the order k, v
         out = attention_sublayer(x, norm, maps, 2, ctx=ctx)
-        assert out._prev == (x.node, *(t.node for t in norm), wq, bq, ctx.node, wk, ctx.node,
-                             wv, bv, wo, bo)
+        assert out._prev == (x.node, x.node, *(t.node for t in norm), wq, bq, ctx.node, wk,
+                             ctx.node, wv, bv, wo, bo)
 
     @pytest.mark.parametrize("cross", [False, True], ids=["self", "cross"])
     def test_finite_differences(self, cross):
@@ -633,8 +635,8 @@ class TestFFNSublayer:
     def test_edges(self):
         x = rand_tensor((2, 3, 4))
         norm, maps = sublayer_weights(4, seed=1, f=8)
-        out = ffn_sublayer(x, norm, *maps)
-        assert out._prev == (x.node, *(t.node for t in norm), *(t.node for t in maps))
+        out = ffn_sublayer(x, norm, *maps)  # x takes the residual edge, then the norm's
+        assert out._prev == (x.node, x.node, *(t.node for t in norm), *(t.node for t in maps))
 
     def test_finite_differences(self):
         x = rand_tensor((2, 3, 4))
@@ -668,6 +670,13 @@ class TestCrossEntropy:
     def test_target_outside_the_row_is_named(self, bad):
         with pytest.raises(ContractError, match=f"target {bad} "):
             cross_entropy(rand_tensor((2, 4)), [0, bad])
+
+    @pytest.mark.parametrize("targets, named", [([0, 0.7], "0.7"), ([1.0, 2], "1.0"),
+                                                ([True, False], "True")])
+    def test_non_integer_target_is_named(self, targets, named):
+        # a float or bool target would be truncated or cast to a column
+        with pytest.raises(ContractError, match=f"target {named} of dtype "):
+            cross_entropy(rand_tensor((2, 4)), targets)
 
     def test_leading_axes_and_scalar_weight(self):
         x = rand_tensor((2, 3, 4), seed=13)
@@ -761,6 +770,10 @@ NODE_OPS = {
 }
 
 
+# ops whose first input also takes a residual edge, listed before its others
+RESIDUAL_OPS = {"attention_sublayer", "ffn_sublayer"}
+
+
 class TestNodeEdges:
     @pytest.mark.parametrize("op", sorted(NODE_OPS))
     def test_prev_lists_the_grad_inputs_in_argument_order(self, op):
@@ -769,7 +782,8 @@ class TestNodeEdges:
             inputs = [Tensor(RngStream(i).uniform(0.5, 1.5, shape), requires_grad=need)
                       for i, (shape, need) in enumerate(zip(shapes, needs))]
             out = f(*inputs)
-            assert out._prev == tuple(t.node for t in inputs if t.requires_grad)
+            edges = inputs[:1] + inputs if op in RESIDUAL_OPS else inputs
+            assert out._prev == tuple(t.node for t in edges if t.requires_grad)
             out.sum().backward()
             for t in inputs:
                 if t.requires_grad:
