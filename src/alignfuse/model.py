@@ -201,8 +201,11 @@ class AlignFuseModel:
         return concat([cls, projected], axis=1) + self.params["img.pe"]
 
     def embed_text(self, ids: np.ndarray) -> Tensor:
-        """(B, L) token ids -> (B, L, d) with the first L position
-        embeddings."""
+        """(B, L) token ids, L <= l_max, -> (B, L, d) with the first L
+        position embeddings."""
+        if len(np.shape(ids)) != 2 or np.shape(ids)[1] > self.config.l_max:
+            raise DimensionError(f"token ids of shape {np.shape(ids)}: they must be (B, L) "
+                                 f"with L <= {self.config.l_max}")
         ids = check_indices(ids, self.config.vocab_size, "token id", VocabError)
         return self.params["txt.emb"][ids] + self.params["txt.pe"][:ids.shape[1]]
 

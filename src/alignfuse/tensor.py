@@ -2,12 +2,13 @@
 
 Every value flowing through the model is a :class:`Tensor` wrapping a numpy
 array. A tensor that needs a gradient also has a graph :class:`Node`, and
-each operation's output node lists ``(parent node, gradient)`` edges;
-``backward()`` on a scalar replays that graph in reverse topological order
-and accumulates adjoints into leaf ``grad`` buffers. Gradients add across
-multiple uses of the same tensor, which is what the weight-shared encoders
-rely on. Nodes hold no values: an interior array lives as long as its
-tensor, or as a backward closure that captured it, and no longer.
+each operation's output node lists its parents' nodes and one backward
+that maps its gradient to one gradient per parent; ``backward()`` on a
+scalar replays that graph in reverse topological order and accumulates
+adjoints into leaf ``grad`` buffers. Gradients add across multiple uses of
+the same tensor, which is what the weight-shared encoders rely on. Nodes
+hold no values: an interior array lives as long as its tensor, or as a
+backward closure that captured it, and no longer.
 
 Each sublayer of a pre-norm transformer block, ``x + F(LN(x))``, is one
 node with its residual: ``attention_sublayer`` (layer norm, q/k/v maps,
@@ -281,35 +282,27 @@ class Tensor:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _node(data: np.ndarray, *edges, joint: Callable | None = None) -> "Tensor":
-        """An op's output from its edges. An edge is a ``(parent, grad)``
-        pair, and the backward adds ``grad(g)`` into each parent that
-        requires grad. With `joint` the edges are bare parents, and
-        ``joint(g)`` returns one gradient per edge from one pass; the entry
-        of a parent that requires no grad is dropped. Either way gradients
-        go in edge order, which is the order of ``_prev``, one addition per
-        edge: a parent used twice has two edges. The backward keeps the
-        parents' nodes, and its closures must capture arrays and shapes,
-        never a tensor."""
+    def _node(data: np.ndarray, parents: Sequence["Tensor"],
+              grads: Callable[[np.ndarray], Sequence]) -> "Tensor":
+        """An op's output `data` over `parents`. ``grads(g)`` maps the
+        output's gradient to one gradient per parent, in `parents` order;
+        the backward drops the entries of the parents that require no grad
+        and adds the rest into their nodes in that order, which is the order
+        of ``_prev``, one addition per parent: a parent used twice is listed
+        twice. The backward keeps the parents' nodes, and `grads` must
+        capture arrays and shapes, never a tensor."""
         if not np.isfinite(data).all():
             raise NumericError("operation produced non-finite values")
         out = Tensor.__new__(Tensor)
         out.data, out.node = data, None
-        parents = edges if joint is not None else [parent for parent, _ in edges]
         need = [parent.node is not None for parent in parents]
         if not (_GRAD_ENABLED and any(need)):
             return out
         prev = tuple(parent.node for parent in parents if parent.node is not None)
-        if joint is None:
-            fns = [grad for (_, grad), n in zip(edges, need) if n]
 
-            def backward(g):
-                for node, grad in zip(prev, fns):
-                    node._accum(grad(g))
-        else:
-            def backward(g):
-                for node, grad in zip(prev, itertools.compress(joint(g), need)):
-                    node._accum(grad)
+        def backward(g):
+            for node, grad in zip(prev, itertools.compress(grads(g), need)):
+                node._accum(grad)
 
         out.node = Node(prev, backward)
         return out
@@ -361,14 +354,13 @@ class Tensor:
     def __add__(self, other):
         other = as_tensor(other)
         a, b = self.data.shape, other.data.shape
-        return Tensor._node(self.data + other.data,
-                            (self, lambda g: _unbroadcast(g, a)),
-                            (other, lambda g: _unbroadcast(g, b)))
+        return Tensor._node(self.data + other.data, (self, other),
+                            lambda g: (_unbroadcast(g, a), _unbroadcast(g, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Tensor._node(-self.data, (self, lambda g: -g))
+        return Tensor._node(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -376,15 +368,14 @@ class Tensor:
     def __mul__(self, other):
         other = as_tensor(other)
         a, b = self.data, other.data
-        return Tensor._node(a * b,
-                            (self, lambda g: _unbroadcast(g * b, a.shape)),
-                            (other, lambda g: _unbroadcast(g * a, b.shape)))
+        return Tensor._node(a * b, (self, other), lambda g: (_unbroadcast(g * b, a.shape),
+                                                             _unbroadcast(g * a, b.shape)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: float):
         e, x = float(exponent), self.data
-        return Tensor._node(x ** e, (self, lambda g: g * e * x ** (e - 1.0)))
+        return Tensor._node(x ** e, (self,), lambda g: (g * e * x ** (e - 1.0),))
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -393,20 +384,19 @@ class Tensor:
             raise DimensionError("matmul requires tensors with ndim >= 2")
         if a.shape[-1] != b.shape[-2]:
             raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-        return Tensor._node(
-            a @ b,
-            (self, lambda g: _unbroadcast(g @ b.swapaxes(-1, -2), a.shape)),
-            (other, lambda g: _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)))
+        return Tensor._node(a @ b, (self, other), lambda g: (
+            _unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
+            _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape)))
 
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
         old = self.data.shape
-        return Tensor._node(self.data.reshape(shape), (self, lambda g: g.reshape(old)))
+        return Tensor._node(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
     def transpose(self, *axes):
         inv = np.argsort(axes)
-        return Tensor._node(self.data.transpose(axes), (self, lambda g: g.transpose(inv)))
+        return Tensor._node(self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),))
 
     @property
     def T(self):
@@ -420,26 +410,26 @@ class Tensor:
                     for k in (key if isinstance(key, tuple) else (key,)))
         shape = self.data.shape
 
-        def grad(g):
+        def grads(g):
             full = np.zeros(shape)
             if basic:
                 full[key] = g
             else:
                 np.add.at(full, key, g)
-            return full
+            return (full,)
 
-        return Tensor._node(self.data[key], (self, grad))
+        return Tensor._node(self.data[key], (self,), grads)
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
         shape = self.data.shape
 
-        def grad(g):
+        def grads(g):
             gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-            return np.broadcast_to(gg, shape)
+            return (np.broadcast_to(gg, shape),)
 
-        return Tensor._node(self.data.sum(axis=axis, keepdims=keepdims), (self, grad))
+        return Tensor._node(self.data.sum(axis=axis, keepdims=keepdims), (self,), grads)
 
     def mean(self, axis=None, keepdims: bool = False):
         axes = axis if isinstance(axis, tuple) else (axis,)
@@ -450,26 +440,26 @@ class Tensor:
 
     def exp(self):
         out_data = np.exp(self.data)
-        return Tensor._node(out_data, (self, lambda g: g * out_data))
+        return Tensor._node(out_data, (self,), lambda g: (g * out_data,))
 
     def log(self):
         x = self.data
         with np.errstate(invalid="ignore", divide="ignore"):
             out_data = np.log(x)
-        return Tensor._node(out_data, (self, lambda g: g / x))
+        return Tensor._node(out_data, (self,), lambda g: (g / x,))
 
     def sqrt(self):
         out_data = np.sqrt(self.data)
-        return Tensor._node(out_data, (self, lambda g: g * 0.5 / out_data))
+        return Tensor._node(out_data, (self,), lambda g: (g * 0.5 / out_data,))
 
     def relu(self):
         x = self.data
-        return Tensor._node(np.maximum(x, 0.0), (self, lambda g: g * (x > 0.0)))
+        return Tensor._node(np.maximum(x, 0.0), (self,), lambda g: (g * (x > 0.0),))
 
     def gelu(self):
         x = self.data
         cdf = _gelu_cdf(x)
-        return Tensor._node(x * cdf, (self, lambda g: g * _gelu_slope(x, cdf)))
+        return Tensor._node(x * cdf, (self,), lambda g: (g * _gelu_slope(x, cdf),))
 
     # -- backward -------------------------------------------------------------
 
@@ -500,21 +490,16 @@ def as_tensor(x) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    edges = []
-    for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-        sl = [slice(None)] * t.data.ndim
-        sl[axis] = slice(lo, hi)
-        edges.append((t, lambda g, sl=tuple(sl): g[sl]))  # bound now, not at backward
-    return Tensor._node(np.concatenate([t.data for t in tensors], axis=axis), *edges)
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
+    return Tensor._node(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                        lambda g: np.split(g, cuts, axis=axis))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max-subtraction) along `axis`."""
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     p = e / e.sum(axis=axis, keepdims=True)
-    return Tensor._node(p, (x, lambda g: (g - (g * p).sum(axis=axis, keepdims=True)) * p))
+    return Tensor._node(p, (x,), lambda g: ((g - (g * p).sum(axis=axis, keepdims=True)) * p,))
 
 
 def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
@@ -532,12 +517,12 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
     total = probs.sum(axis=-1)
     probs /= total[:, None]
 
-    def dlogits(g):
+    def grads(g):
         grad = probs * (g * w)[:, None]
         grad[hit] -= g * w
-        return grad.reshape(shape)
+        return (grad.reshape(shape),)
 
-    return Tensor._node(np.asarray((w * (np.log(total) - picked)).sum()), (logits, dlogits))
+    return Tensor._node(np.asarray((w * (np.log(total) - picked)).sum()), (logits,), grads)
 
 
 def weighted_square_error(pred: Tensor, target: np.ndarray, weights) -> Tensor:
@@ -548,11 +533,11 @@ def weighted_square_error(pred: Tensor, target: np.ndarray, weights) -> Tensor:
     bitwise."""
     diff = pred.data - target
 
-    def dpred(g):
+    def grads(g):
         t = (g * weights) * diff
-        return t + t
+        return (t + t,)
 
-    return Tensor._node(np.asarray((diff * diff * weights).sum()), (pred, dpred))
+    return Tensor._node(np.asarray((diff * diff * weights).sum()), (pred,), grads)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -561,27 +546,33 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.data.shape[-1] != x.data.shape[-1] or beta.data.shape[-1] != x.data.shape[-1]:
         raise DimensionError("gamma/beta must match the last axis of x")
     output, backward = _layer_norm(x.data, gamma.data, beta.data)
-    return Tensor._node(output(), x, gamma, beta, joint=backward)
+    return Tensor._node(output(), (x, gamma, beta), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w (+ b)`` over the last axis of x as one node: the weight
-    gradient is one GEMM over all leading rows, the bias gradient a row sum."""
+    gradient is one GEMM over all leading rows, the bias gradient a row sum.
+    It is the one op that reads whether a parent requires grad: the input
+    gradient of a constant x (the patch embedding's patches) would be a GEMM
+    as large as the forward's, so it is not computed."""
     if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1] or (
             b is not None and b.data.shape != w.data.shape[1:]):
         raise DimensionError(f"linear map of {x.data.shape} by {w.data.shape}, bias {b}")
-    xd, wd = x.data, w.data
-    bias = () if b is None else ((b, lambda g: _rows(g).sum(axis=0)),)
+    xd, wd, need_x, bias = x.data, w.data, x.node is not None, b is not None
+
+    def grads(g):
+        return (g @ wd.T if need_x else None, _rows(xd).T @ _rows(g),
+                *((_rows(g).sum(axis=0),) if bias else ()))
+
     return Tensor._node(_affine(xd, wd, None if b is None else b.data),
-                        (x, lambda g: g @ wd.T),
-                        (w, lambda g: _rows(xd).T @ _rows(g)), *bias)
+                        (x, w) if b is None else (x, w, b), grads)
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
             key_mask, record: list | None):
     """Multi-head attention on arrays; see ``attention``. Returns the
-    (B, Nq, d) output and ``backward(g, need)``, which maps the output's
-    gradient to those of q, k and v, each None where `need` says no."""
+    (B, Nq, d) output and ``backward(g)``, which maps the output's gradient
+    to those of q, k and v."""
     (b, n_q, d), n_kv = q.shape, k.shape[1]
     if key_mask is not None:
         key_mask = np.asarray(key_mask)
@@ -635,29 +626,25 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
                                    vh[t], out=heads[t]), tiles)
     out = merge(heads)
 
-    def backward(g, need):
+    def backward(g):
         gh = split(g)
         # the row dot dP·P equals dO·O
         dot = (g * out).reshape(b, n_q, n_heads, dh).sum(axis=-1)
         dot = dot.transpose(0, 2, 1).reshape(bh, n_q, 1)
-        dq, dk, dv = (np.empty_like(a) if n else None for a, n in zip((qh, kh, vh), need))
+        dq, dk, dv = (np.empty_like(a) for a in (qh, kh, vh))
 
         def tile(t):
             p = probabilities(t, False) if probs is None else probs
-            if dv is not None:
-                np.matmul(p.swapaxes(-1, -2), gh[t], out=dv[t])
+            np.matmul(p.swapaxes(-1, -2), gh[t], out=dv[t])
             # softmax backward in dP's own buffer
             ds = gh[t] @ vh[t].swapaxes(-1, -2)
             ds -= dot[t]
             ds *= p
-            if dq is not None:
-                np.matmul(ds, kh[t], out=dq[t])
-            if dk is not None:
-                np.matmul(ds.swapaxes(-1, -2), qh[t], out=dk[t])
+            np.matmul(ds, kh[t], out=dq[t])
+            np.matmul(ds.swapaxes(-1, -2), qh[t], out=dk[t])
 
         _each_tile(tile, tiles)
-        return (None if dq is None else merge(dq) * scale,
-                None if dk is None else merge(dk), None if dv is None else merge(dv))
+        return merge(dq) * scale, merge(dk), merge(dv)
 
     return out, backward
 
@@ -675,10 +662,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     row's max and sum and recomputes the tile's probabilities
     (FlashAttention's trade, Dao et al., 2022). Both passes compute
     probabilities with the same operations, and each tile writes only its own
-    slices, so every tiling gives the same bits."""
+    slices, so every tiling gives the same bits. The backward computes the
+    gradients of all three inputs, as the sublayer nodes need them, and
+    ``_node`` drops those of the inputs that require no grad."""
     out, backward = _attend(q.data, k.data, v.data, n_heads, key_mask, record)
-    need = [t.node is not None for t in (q, k, v)]
-    return Tensor._node(out, q, k, v, joint=lambda g: backward(g, need))
+    return Tensor._node(out, (q, k, v), backward)
 
 
 def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor], n_heads: int,
@@ -731,7 +719,7 @@ def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor]
 
     def backward(g):
         dwo, dbo = _rows(att).T @ _rows(g), _rows(g).sum(axis=0)
-        dq, dk, dv = attend_backward(g @ wod.T, (True, True, True))
+        dq, dk, dv = attend_backward(g @ wod.T)
         u = norm_out()
         uq, kv = u[:, :1] if cls_only else u, u if cd is None else cd
         dwq, dbq = _rows(uq).T @ _rows(dq), _rows(dq).sum(axis=0)
@@ -747,8 +735,8 @@ def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor]
         return (scatter(g), dx, dgamma, dbeta, dwq, dbq, *ctx_k, dwk, *ctx_v, dwv, dbv, dwo, dbo)
 
     ctx_edge = () if ctx is None else (ctx,)
-    return Tensor._node(out, x, x, gamma, beta, wq, bq, *ctx_edge, wk, *ctx_edge, wv, bv, wo, bo,
-                        joint=backward)
+    return Tensor._node(out, (x, x, gamma, beta, wq, bq, *ctx_edge, wk, *ctx_edge, wv, bv, wo, bo),
+                        backward)
 
 
 def ffn_sublayer(x: Tensor, norm: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor,
@@ -784,7 +772,7 @@ def ffn_sublayer(x: Tensor, norm: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: 
 
     out = _affine(h * cdf, w2d, b2.data)
     out += x.data  # the bits of x + out: addition commutes
-    return Tensor._node(out, x, x, gamma, beta, w1, b1, w2, b2, joint=backward)
+    return Tensor._node(out, (x, x, gamma, beta, w1, b1, w2, b2), backward)
 
 
 def unit_rows(x: Tensor) -> Tensor:
@@ -822,17 +810,18 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor,
         idxs = np.arange(n)
 
     max_err = 0.0
-    flat = x.data.reshape(-1)
     with no_grad():
         for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + step
+            # by index, not through a flat view: reshape copies a non-contiguous x
+            at = np.unravel_index(i, x.data.shape)
+            orig = x.data[at]
+            x.data[at] = orig + step
             fp = f(x).item()
-            flat[i] = orig - step
+            x.data[at] = orig - step
             fm = f(x).item()
-            flat[i] = orig
+            x.data[at] = orig
             numeric = (fp - fm) / (2.0 * step)
-            a = float(analytic.reshape(-1)[i])
+            a = float(analytic[at])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             max_err = max(max_err, err)
     return max_err

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -182,6 +183,16 @@ class TestEmbedText:
         model = AlignFuseModel(tiny_config(), seed=0)
         with pytest.raises(VocabError, match=f"token id {named} of dtype float64 "):
             model.embed_text(np.array([row]))
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 1, 8), (2, 9)])
+    def test_ids_not_batch_by_length_are_refused(self, shape):
+        # (B, L) with L <= l_max, checked before the ids themselves: even an
+        # out-of-vocabulary id gives the shape error
+        model = AlignFuseModel(tiny_config(), seed=0)
+        assert model.config.l_max == 8
+        ids = np.full(shape, model.config.vocab_size)
+        with pytest.raises(DimensionError, match=f"token ids of shape {re.escape(str(shape))}"):
+            model.embed_text(ids)
 
 
 class TestApplyMask:

@@ -83,10 +83,9 @@ def test_scipy_use_is_scipy_special_alone():
 
 
 def test_one_owner_for_gradient_routing():
-    # ops hand Tensor._node their (parent, gradient) edges, or their parents
-    # and one joint backward that returns a gradient per edge (attention and
-    # the sublayer nodes); _node alone adds them into the parents' graph
-    # nodes, and Node.backward seeds the sweep
+    # ops hand Tensor._node their parents and one backward that returns a
+    # gradient per parent; _node alone adds them into the graph nodes of the
+    # parents that require grad, and Node.backward seeds the sweep
     tree = ast.parse((Path(alignfuse.__file__).parent / "tensor.py").read_text())
     callers: dict[str, set[str]] = {"_accum": set(), "_result": set()}
     for top in tree.body:
@@ -99,6 +98,18 @@ def test_one_owner_for_gradient_routing():
                         and node.func.attr in callers):
                     callers[node.func.attr].add(owner)
     assert callers == {"_accum": {"Tensor._node", "Node.backward"}, "_result": set()}
+
+
+def test_node_has_one_form():
+    # every op builds its node as Tensor._node(data, parents, grads): three
+    # positional arguments, no keyword and no unpacked argument list
+    tree = ast.parse((Path(alignfuse.__file__).parent / "tensor.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "_node"]
+    assert len(calls) > 20
+    assert [node.lineno for node in calls
+            if len(node.args) != 3 or node.keywords
+            or any(isinstance(a, ast.Starred) for a in node.args)] == []
 
 
 def test_blocks_reach_no_unfused_op():

@@ -290,6 +290,21 @@ class TestLinear:
         assert finite_diff_check(lambda t: (linear(x, t, b) * c).sum(), w) < 1e-6
         assert finite_diff_check(lambda t: (linear(x, w, t) * c).sum(), b) < 1e-6
 
+    def test_constant_input_gets_no_gradient(self):
+        # the patch embedding's x requires no grad: its (2, 4096, 64) input
+        # gradient, 4.2 MB, is not computed and then dropped
+        x = rand_tensor((2, 4096, 64), requires_grad=False)
+        w, b = rand_tensor((64, 1), seed=1), rand_tensor((1,), seed=2)
+        loss = linear(x, w, b).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert w.grad.shape == (64, 1) and b.grad.shape == (1,)
+
     @settings(max_examples=60, deadline=None)
     @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=3), d_in=st.integers(1, 6),
            d_out=st.integers(1, 6), bias=st.booleans(), seed=st.integers(0, 2**16))
@@ -970,6 +985,15 @@ class TestFiniteDiffCheck:
         x = rand_tensor((5,), seed=2)
         err = finite_diff_check(lambda t: (t * t).sum(), x)
         assert err < 1e-8
+
+    def test_transposed_leaf(self):
+        # a flat view of a non-contiguous x would be a copy that f never sees
+        a = rand_tensor((3, 4), seed=2, requires_grad=False).data
+        x = Tensor(a.T, requires_grad=True)
+        assert not x.data.flags.c_contiguous
+        c = rand_tensor((4, 3), seed=3, requires_grad=False)
+        assert finite_diff_check(lambda t: (t * t * c).sum(), x) < 1e-8
+        assert np.array_equal(x.data, a.T)
 
     def test_layer_norm_node(self):
         x = rand_tensor((3, 6), seed=5)
