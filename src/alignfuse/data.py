@@ -1,4 +1,4 @@
-"""Data pipeline: volumes to patch grids, clinical fields to token sequences.
+"""Data pipeline: volumes to flattened patches, clinical fields to token sequences.
 
 Covers volume normalization, patch extraction, textualization of structured
 records, a small word-level vocabulary, the synthetic dataset generator that
@@ -63,18 +63,10 @@ class PatientRecord:
 
 
 @dataclass
-class PatchGrid:
-    """Flattened voxel patches of one volume: patches[i] is one p^3 block."""
-
-    patches: np.ndarray  # (P, p^3)
-    side: int
-    patch_size: int
-
-
-@dataclass
 class TokenSequence:
+    """One record's text; `Batch.stack` derives its pad mask from `length`."""
+
     ids: np.ndarray        # (L_max,) int64
-    pad_mask: np.ndarray   # (L_max,) bool, True at real tokens
     length: int            # count of real tokens (incl. [CLS])
 
 
@@ -82,7 +74,8 @@ class TokenSequence:
 class Batch:
     """Records stacked for one batch-major pass. Text columns stop at the
     longest real sequence in the batch, so rows of shorter texts end in
-    pads; labels are None at inference."""
+    pads; `stack` derives the pad mask from the records' lengths. Labels
+    are None at inference."""
 
     patches: np.ndarray    # (B, P, p^3)
     ids: np.ndarray        # (B, L) int64, L <= L_max
@@ -90,12 +83,13 @@ class Batch:
     labels: np.ndarray | None = None  # (B,) int64
 
     @classmethod
-    def stack(cls, patches: list[PatchGrid], tokens: list[TokenSequence],
+    def stack(cls, patches: list[np.ndarray], tokens: list[TokenSequence],
               labels: list[int] | None = None) -> "Batch":
-        n = max(t.length for t in tokens)
-        return cls(patches=np.stack([p.patches for p in patches]),
+        lengths = np.array([t.length for t in tokens])
+        n = lengths.max()
+        return cls(patches=np.stack(patches),
                    ids=np.stack([t.ids[:n] for t in tokens]),
-                   pad_mask=np.stack([t.pad_mask[:n] for t in tokens]),
+                   pad_mask=np.arange(n) < lengths[:, None],
                    labels=None if labels is None
                    else np.asarray(labels, dtype=np.int64))
 
@@ -168,8 +162,9 @@ def normalize_volume(raw: np.ndarray, target_side: int) -> np.ndarray:
     return (vol - lo) / (hi - lo)
 
 
-def patchify(volume: np.ndarray, patch_size: int) -> PatchGrid:
-    """Split an S^3 volume into (S/p)^3 flattened p^3 patches (lossless)."""
+def patchify(volume: np.ndarray, patch_size: int) -> np.ndarray:
+    """Split an S^3 volume into its (S/p)^3 p^3 blocks (lossless): a
+    ((S/p)^3, p^3) float64 array, block i of the grid in C order in row i."""
     volume = np.asarray(volume, dtype=np.float64)
     s = volume.shape[0]
     if volume.shape != (s, s, s):
@@ -179,7 +174,7 @@ def patchify(volume: np.ndarray, patch_size: int) -> PatchGrid:
         raise DimensionError(f"patch size {p} does not divide volume side {s}")
     g = s // p
     blocks = volume.reshape(g, p, g, p, g, p).transpose(0, 2, 4, 1, 3, 5)
-    return PatchGrid(patches=blocks.reshape(g ** 3, p ** 3), side=s, patch_size=p)
+    return blocks.reshape(g ** 3, p ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +231,7 @@ def tokenize(text: str, vocab: Vocab, l_max: int) -> TokenSequence:
     length = len(ids)
     out = np.zeros(l_max, dtype=np.int64)
     out[:length] = ids
-    mask = np.zeros(l_max, dtype=bool)
-    mask[:length] = True
-    return TokenSequence(ids=out, pad_mask=mask, length=length)
+    return TokenSequence(ids=out, length=length)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +425,9 @@ def load_dataset(manifest_path: Path) -> list[PatientRecord]:
             if (not isinstance(volume, str) or "\0" in volume
                     or not (root / volume).resolve().is_relative_to(root)):
                 raise DataFormatError(f"{where}: volume {volume!r} is not a path inside {root}")
-            demographics = obj.get("demographics") or {}
-            lab_results = obj.get("lab_results") or {}
+            # an absent or null field is {}; any other non-object, even [], is refused
+            demographics, lab_results = ({} if obj.get(k) is None else obj[k]
+                                         for k in ("demographics", "lab_results"))
             narrative = obj.get("narrative")
             if not (isinstance(demographics, dict) and isinstance(lab_results, dict)
                     and isinstance(narrative, (str, type(None)))):

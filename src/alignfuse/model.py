@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Batch, PatchGrid, TokenSequence
+from .data import Batch, TokenSequence
 from .errors import ConfigError, DimensionError, VocabError, check_fields, check_indices
 from .tensor import (
     LN_EPS,
@@ -367,11 +367,11 @@ class AlignFuseModel:
         return ((img / img.sum(axis=1, keepdims=True)).reshape(-1, g, g, g),
                 txt / txt.sum(axis=1, keepdims=True))
 
-    def extract_attention_map(self, patches: PatchGrid,
+    def extract_attention_map(self, patches: np.ndarray,
                               tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
         """Row 0 of `attention_maps` on a batch of this one record, built
-        from views of the record's arrays."""
+        from views of its (P, p^3) patches and real ids under an all-true mask."""
         n = tokens.length
-        heat, txt = self.attention_maps(Batch(patches.patches[None], tokens.ids[None, :n],
-                                              tokens.pad_mask[None, :n]))
+        heat, txt = self.attention_maps(Batch(patches[None], tokens.ids[None, :n],
+                                              np.ones((1, n), dtype=bool)))
         return heat[0], txt[0]

@@ -14,7 +14,6 @@ from . import checkpoint as ckpt
 from .data import (
     RESERVED,
     Batch,
-    PatchGrid,
     PatientRecord,
     TokenSequence,
     Vocab,
@@ -126,14 +125,14 @@ class AdamW:
 
 @dataclass
 class Example:
-    patches: PatchGrid
+    patches: np.ndarray  # (P, p^3), from patchify
     tokens: TokenSequence
     label: int
 
 
 def prepare_examples(records: list[PatientRecord], vocab: Vocab,
                      cfg: ModelConfig) -> list[Example]:
-    """Patch grids and token sequences of `records`; a label outside the
+    """Flattened patches and token sequences of `records`; a label outside the
     model's classes raises LabelError."""
     out = []
     for rec in records:
@@ -322,8 +321,9 @@ def _check_blobs(path: Path, section: str, blobs: dict[str, np.ndarray],
                                   f"in the checkpoint and {shape} in the model")
         if not np.isfinite(blobs[name]).all():
             raise CheckpointError(f"{path}: {section} blob {name!r} is not finite")
-    # older checkpoints hold a key-projection bias, which softmax cancels
-    if extra := sorted(n for n in blobs.keys() - shapes.keys() if ".wk.b" not in n):
+    # older checkpoints hold a key-projection bias `X.wk.b` beside `X.wk.w`; softmax cancels it
+    if extra := sorted(n for n in blobs.keys() - shapes.keys()
+                       if n.replace(".wk.b", ".wk.w") not in shapes):
         raise CheckpointError(f"{path}: {section} blob {extra[0]!r} is not in the model")
     return shapes
 

@@ -15,7 +15,6 @@ import pytest
 
 from alignfuse.cli import EXIT_OK, main
 from alignfuse.data import (
-    PatchGrid,
     build_vocab,
     generate_synthetic_dataset,
 )
@@ -59,18 +58,13 @@ def tiny_config(**overrides):
 
 def tiny_inputs(cfg: ModelConfig, seed: int = 0):
     rng = RngStream(seed)
-    patches = PatchGrid(
-        patches=rng.child(1).uniform(0.0, 1.0,
-                                     (cfg.n_patches, cfg.patch_voxels)),
-        side=cfg.volume_side, patch_size=cfg.patch_size)
+    patches = rng.child(1).uniform(0.0, 1.0, (cfg.n_patches, cfg.patch_voxels))
     from alignfuse.data import TokenSequence
     length = 6
     ids = np.zeros(cfg.l_max, dtype=np.int64)
     ids[0] = 1
     ids[1:length] = rng.child(2).integers(4, cfg.vocab_size, length - 1)
-    mask = np.zeros(cfg.l_max, dtype=bool)
-    mask[:length] = True
-    toks = TokenSequence(ids=ids, pad_mask=mask, length=length)
+    toks = TokenSequence(ids=ids, length=length)
     return patches, toks
 
 
@@ -175,10 +169,10 @@ class TestCriterion3:
         patches, toks = tiny_inputs(cfg)
 
         def outputs(model):
-            zi = model.encode_unimodal(model.embed_image(patches.patches[None]), "img")
+            zi = model.encode_unimodal(model.embed_image(patches[None]), "img")
             zt = model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
-                                       pad_mask=toks.pad_mask[None])
-            gi = model.encode_grounded(model.embed_image(patches.patches[None]), zt, "img")
+                                       pad_mask=np.arange(cfg.l_max)[None] < toks.length)
+            gi = model.encode_grounded(model.embed_image(patches[None]), zt, "img")
             return zi.data.copy(), gi.data.copy()
 
         base_uni, base_gr = outputs(AlignFuseModel(cfg, seed=0))

@@ -533,6 +533,13 @@ def write_blob_lists(dst: Path, header: dict, params: list, state: list) -> Path
 BAD_CHECKPOINT = {
     "missing_param": (lambda h, p, s: p.pop("log_tau"), "log_tau"),
     "extra_param": (lambda h, p, s: p.update({"extra.w": np.zeros(3)}), "extra.w"),
+    # names that merely contain `.wk.b`: only `<attention>.wk.b` (and its
+    # moments) is the older key bias that loads as if absent
+    **{f"stray_wk_b_{where}_{name}": (
+        lambda h, p, s, where=where, name=name: (p if where == "param" else s).update(
+            {name: np.zeros(3)}), f"blob {name!r} is not in the model")
+       for where in ("param", "state")
+       for name in ("img.enc.0.sa.wk.bias", "fusion.wk.b", "zzz.wk.b.junk")},
     "param_shape": (lambda h, p, s: p.update({"fusion.l2.b": np.zeros(1)}),
                     "fusion.l2.b"),
     "optimizer_state": (lambda h, p, s: s.update({"img.lp.w.m": np.zeros(2)}),
@@ -747,6 +754,11 @@ MALFORMED_FIRST_LINE = {
     "volume_outside_root": lambda rec: json.dumps(
         {**rec, "volume": "../other/00001.vol"}),
     "demographics_not_an_object": lambda rec: json.dumps({**rec, "demographics": [1]}),
+    # falsy non-objects: only an absent or null field reads as {}
+    "demographics_empty_list": lambda rec: json.dumps({**rec, "demographics": []}),
+    "demographics_false": lambda rec: json.dumps({**rec, "demographics": False}),
+    "lab_results_zero": lambda rec: json.dumps({**rec, "lab_results": 0}),
+    "lab_results_empty_string": lambda rec: json.dumps({**rec, "lab_results": ""}),
     "volume_with_nul": lambda rec: json.dumps({**rec, "volume": "volumes/a\u0000b.vol"}),
     # json.loads raises RecursionError, and a plain ValueError past the
     # 4,300-digit integer limit

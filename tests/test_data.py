@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -13,8 +14,9 @@ from alignfuse.data import (
     CLS_ID,
     PAD_ID,
     UNK_ID,
-    PatchGrid,
+    Batch,
     PatientRecord,
+    TokenSequence,
     Vocab,
     build_vocab,
     generate_synthetic_dataset,
@@ -31,11 +33,10 @@ from alignfuse.data import (
 from alignfuse.errors import DataFormatError, DimensionError
 
 
-def unpatchify(grid: PatchGrid) -> np.ndarray:
-    """The S^3 volume a patch grid was split from: patchify's inverse."""
-    s, p = grid.side, grid.patch_size
+def unpatchify(patches: np.ndarray, s: int, p: int) -> np.ndarray:
+    """The S^3 volume `patches` were split from in p^3 blocks: patchify's inverse."""
     g = s // p
-    blocks = grid.patches.reshape(g, g, g, p, p, p).transpose(0, 3, 1, 4, 2, 5)
+    blocks = patches.reshape(g, g, g, p, p, p).transpose(0, 3, 1, 4, 2, 5)
     return blocks.reshape(s, s, s)
 
 
@@ -161,14 +162,15 @@ class TestResample:
 class TestPatchify:
     def test_paper_scale_counts(self):
         vol = np.zeros((128, 128, 128))
-        grid = patchify(vol, 16)
-        assert grid.patches.shape == (512, 4096)
+        patches = patchify(vol, 16)
+        assert isinstance(patches, np.ndarray) and patches.dtype == np.float64
+        assert patches.shape == (512, 4096)
 
     def test_single_patch(self):
         vol = np.arange(27.0).reshape(3, 3, 3)
-        grid = patchify(vol, 3)
-        assert grid.patches.shape == (1, 27)
-        assert np.array_equal(grid.patches[0], vol.reshape(-1))
+        patches = patchify(vol, 3)
+        assert patches.shape == (1, 27)
+        assert np.array_equal(patches[0], vol.reshape(-1))
 
     def test_indivisible_patch_size(self):
         with pytest.raises(DimensionError):
@@ -181,7 +183,7 @@ class TestPatchify:
         s, p = sp
         rng = np.random.Generator(np.random.PCG64(seed))
         vol = rng.normal(size=(s, s, s))
-        assert np.array_equal(unpatchify(patchify(vol, p)), vol)
+        assert np.array_equal(unpatchify(patchify(vol, p), s, p), vol)
 
 
 class TestTextualize:
@@ -253,13 +255,12 @@ class TestTokenize:
         assert seq.ids[0] == CLS_ID
         assert np.all(seq.ids[1:] == PAD_ID)
         assert seq.length == 1
-        assert seq.pad_mask.sum() == 1
 
     def test_fully_packed(self):
         text = " ".join(["alpha"] * 69)
         seq = tokenize(text, self.vocab, l_max=70)
         assert seq.length == 70
-        assert seq.pad_mask.all()
+        assert np.all(seq.ids != PAD_ID)
 
     def test_truncation_at_l_max(self):
         text = " ".join(["alpha"] * 100)
@@ -276,8 +277,31 @@ class TestTokenize:
     def test_length_bound_invariant(self, text):
         seq = tokenize(text, self.vocab, l_max=16)
         assert seq.ids.shape == (16,)
-        assert seq.pad_mask.sum() == seq.length <= 16
-        assert np.all(seq.pad_mask[:seq.length])
+        assert 1 <= seq.length <= 16
+        assert np.all(seq.ids[:seq.length] != PAD_ID)
+        assert np.all(seq.ids[seq.length:] == PAD_ID)
+
+    def test_a_record_stores_only_its_ids_and_length(self):
+        # the pad mask is derived by Batch.stack, and patches are a bare array
+        assert [f.name for f in dataclasses.fields(TokenSequence)] == ["ids", "length"]
+        assert not hasattr(data, "PatchGrid")
+
+
+class TestBatchStack:
+    @given(st.lists(st.integers(0, 15), min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_pad_mask_is_derived_from_the_lengths(self, n_words):
+        # each text holds n words; with [CLS] and truncation its length is 1..l_max
+        vocab = build_vocab(["alpha beta gamma delta"])
+        l_max = 12
+        tokens = [tokenize(" ".join(["beta"] * n), vocab, l_max) for n in n_words]
+        lengths = [t.length for t in tokens]
+        assert lengths == [min(n + 1, l_max) for n in n_words]
+        batch = Batch.stack([np.zeros((1, 8))] * len(tokens), tokens)
+        assert batch.ids.shape == (len(tokens), max(lengths))
+        for row, length in zip(batch.pad_mask, lengths):
+            assert row.tolist() == [True] * length + [False] * (max(lengths) - length)
+        assert np.array_equal(batch.pad_mask, batch.ids != PAD_ID)
 
 
 class TestSyntheticDataset:
@@ -389,6 +413,17 @@ class TestDiskFormat:
             assert np.array_equal(a.volume, b.volume)
             assert a.label == b.label
             assert a.fields() == b.fields()
+
+    def test_absent_or_null_clinical_fields_load_empty(self, tmp_path):
+        recs = generate_synthetic_dataset(2, 3, side=8, seed=1)
+        manifest = save_dataset(recs, tmp_path / "ds")
+        first, second = (json.loads(line) for line in manifest.read_text().splitlines())
+        del first["demographics"]
+        first["lab_results"] = second["demographics"] = None
+        del second["lab_results"]
+        manifest.write_text("".join(json.dumps(o) + "\n" for o in (first, second)))
+        for r in load_dataset(manifest):
+            assert r.demographics == {} and r.lab_results == {}
 
     def test_malformed_manifest_line_reports_number(self, tmp_path):
         recs = generate_synthetic_dataset(3, 3, side=8, seed=1)

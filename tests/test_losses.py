@@ -155,14 +155,11 @@ class TestImageReconLoss:
 
 
 def make_tokens(ids, length):
-    ids = np.asarray(ids, dtype=np.int64)
-    mask = np.zeros(len(ids), dtype=bool)
-    mask[:length] = True
-    return TokenSequence(ids=ids, pad_mask=mask, length=length)
+    return TokenSequence(ids=np.asarray(ids, dtype=np.int64), length=length)
 
 
 def text_loss(toks, logits, idx):
-    return text_recon_loss(toks.ids, toks.pad_mask, logits,
+    return text_recon_loss(toks.ids, np.arange(len(toks.ids)) < toks.length, logits,
                            positions(len(toks.ids), idx))
 
 

@@ -11,7 +11,6 @@ from alignfuse import model as model_module
 from alignfuse.data import (
     CLS_ID,
     Batch,
-    PatchGrid,
     TokenSequence,
     build_vocab,
     patchify,
@@ -38,9 +37,12 @@ def tiny_inputs(cfg, seed=0):
     ids[0] = CLS_ID
     n_real = 5
     ids[1:n_real] = rng.integers(4, cfg.vocab_size, n_real - 1)
-    mask = np.zeros(cfg.l_max, dtype=bool)
-    mask[:n_real] = True
-    return patches, TokenSequence(ids=ids, pad_mask=mask, length=n_real)
+    return patches, TokenSequence(ids=ids, length=n_real)
+
+
+def real_mask(toks):
+    """The (L_max,) mask of a record's real tokens, as `Batch.stack` derives it."""
+    return np.arange(len(toks.ids)) < toks.length
 
 
 def one_batch(patches, toks):
@@ -99,14 +101,14 @@ class TestEmbedImage:
         cfg = tiny_config(patch_size=8, volume_side=16)
         model = AlignFuseModel(cfg, seed=0)
         patches = patchify(np.zeros((16, 16, 16)), 8)
-        assert model.embed_image(patches.patches[None]).shape == (1, 9, cfg.d_model)
+        assert model.embed_image(patches[None]).shape == (1, 9, cfg.d_model)
 
     def test_zero_patches_zero_lp_gives_pe_plus_cls(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         model.params["img.lp.w"].data[:] = 0.0
         patches = patchify(np.zeros((4, 4, 4)), 2)
-        h = model.embed_image(patches.patches[None])[0]
+        h = model.embed_image(patches[None])[0]
         pe = model.params["img.pe"].data
         cls = model.params["img.cls"].data
         assert np.allclose(h.data[0], cls + pe[0])
@@ -116,10 +118,9 @@ class TestEmbedImage:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         p1, _ = tiny_inputs(cfg, seed=1)
-        p2 = PatchGrid(patches=p1.patches.copy(), side=p1.side,
-                       patch_size=p1.patch_size)
-        p2.patches[3] += 1.0
-        h1, h2 = model.embed_image(np.stack([p1.patches, p2.patches])).data
+        p2 = p1.copy()
+        p2[3] += 1.0
+        h1, h2 = model.embed_image(np.stack([p1, p2])).data
         diff_rows = np.where(np.abs(h1 - h2).sum(axis=1) > 0)[0]
         assert np.array_equal(diff_rows, [4])  # row 0 is [CLS]
 
@@ -127,7 +128,7 @@ class TestEmbedImage:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         with pytest.raises(DimensionError):
-            model.embed_image(patchify(np.zeros((8, 8, 8)), 2).patches[None])
+            model.embed_image(patchify(np.zeros((8, 8, 8)), 2)[None])
 
 
 class TestEmbedText:
@@ -141,9 +142,7 @@ class TestEmbedText:
     def test_pad_rows_carry_pad_embedding(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
-        toks = TokenSequence(ids=np.array([CLS_ID] + [0] * 7),
-                             pad_mask=np.array([True] + [False] * 7),
-                             length=1)
+        toks = TokenSequence(ids=np.array([CLS_ID] + [0] * 7), length=1)
         h = model.embed_text(toks.ids[None]).data[0]
         pad_emb = model.params["txt.emb"].data[0]
         pe = model.params["txt.pe"].data
@@ -155,7 +154,7 @@ class TestEmbedText:
         _, toks = tiny_inputs(cfg, seed=2)
         ids2 = toks.ids.copy()
         ids2[1], ids2[2] = ids2[2], ids2[1]
-        toks2 = TokenSequence(ids=ids2, pad_mask=toks.pad_mask, length=toks.length)
+        toks2 = TokenSequence(ids=ids2, length=toks.length)
         pe = model.params["txt.pe"].data
         h1, h2 = model.embed_text(np.stack([toks.ids, toks2.ids])).data - pe
         assert np.allclose(h1[1], h2[2]) and np.allclose(h1[2], h2[1])
@@ -163,9 +162,7 @@ class TestEmbedText:
     def test_out_of_range_id(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
-        toks = TokenSequence(ids=np.array([CLS_ID, 99] + [0] * 6),
-                             pad_mask=np.array([True, True] + [False] * 6),
-                             length=2)
+        toks = TokenSequence(ids=np.array([CLS_ID, 99] + [0] * 6), length=2)
         with pytest.raises(VocabError):
             model.embed_text(toks.ids[None])
 
@@ -199,7 +196,7 @@ class TestApplyMask:
     def setup_method(self):
         self.cfg = tiny_config(patch_size=2, volume_side=6)  # 27 patches
         self.model = AlignFuseModel(self.cfg, seed=0)
-        self.h = self.model.embed_image(tiny_inputs(self.cfg)[0].patches[None])
+        self.h = self.model.embed_image(tiny_inputs(self.cfg)[0][None])
 
     def mask(self, seed, mask_ratio=0.5):
         # same seed, so the same parameters as self.model
@@ -235,7 +232,7 @@ class TestApplyMask:
         assert np.array_equal(h2.data[0, kept], self.h.data[0, kept])
 
     def test_rows_draw_from_their_own_stream(self):
-        h = self.model.embed_image(np.stack([tiny_inputs(self.cfg, seed=s)[0].patches
+        h = self.model.embed_image(np.stack([tiny_inputs(self.cfg, seed=s)[0]
                                              for s in (0, 1)]))
         _, chosen = self.model.apply_mask(h, "img", [RngStream(5), RngStream(6)])
         assert np.array_equal(np.flatnonzero(chosen[0]), self.mask(5)[1])
@@ -277,7 +274,7 @@ class TestEncoders:
         cfg = tiny_config(n_enc_layers=0)
         model = AlignFuseModel(cfg, seed=0)
         patches, _ = tiny_inputs(cfg)
-        h = model.embed_image(patches.patches[None])
+        h = model.embed_image(patches[None])
         z = model.encode_unimodal(h, "img")
         assert np.array_equal(z.data, h.data)
 
@@ -286,7 +283,7 @@ class TestEncoders:
         model = AlignFuseModel(cfg, seed=0)
         _, toks = tiny_inputs(cfg)
         _, rec = full_encoder(model, model.embed_text(toks.ids[None]), "txt",
-                              pad_mask=toks.pad_mask[None])
+                              pad_mask=real_mask(toks)[None])
         for att in rec:
             assert np.allclose(att.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -295,22 +292,22 @@ class TestEncoders:
         model = AlignFuseModel(cfg, seed=0)
         _, toks = tiny_inputs(cfg)
         _, rec = full_encoder(model, model.embed_text(toks.ids[None]), "txt",
-                              pad_mask=toks.pad_mask[None])
+                              pad_mask=real_mask(toks)[None])
         for att in rec:
-            assert np.all(att[0][:, :, ~toks.pad_mask] == 0.0)
+            assert np.all(att[0][:, :, ~real_mask(toks)] == 0.0)
 
     def test_grounded_with_zero_ca_output_equals_unimodal(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
-        h = model.embed_image(patches.patches[None])
+        h = model.embed_image(patches[None])
         z_other = model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
-                                        pad_mask=toks.pad_mask[None])
+                                        pad_mask=real_mask(toks)[None])
         for i in range(cfg.n_enc_layers):
             model.params[f"img.ca.{i}.wo.w"].data[:] = 0.0
             model.params[f"img.ca.{i}.wo.b"].data[:] = 0.0
         zg = model.encode_grounded(h, z_other, "img",
-                                   other_pad_mask=toks.pad_mask[None])
+                                   other_pad_mask=real_mask(toks)[None])
         zu = model.encode_unimodal(h, "img")
         assert np.allclose(zg.data, zu.data)
 
@@ -318,25 +315,25 @@ class TestEncoders:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
-        h = model.embed_image(patches.patches[None])
+        h = model.embed_image(patches[None])
         z_other = model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
-                                        pad_mask=toks.pad_mask[None])
+                                        pad_mask=real_mask(toks)[None])
         z1 = model.encode_grounded(h, z_other, "img",
-                                   other_pad_mask=toks.pad_mask[None]).data
+                                   other_pad_mask=real_mask(toks)[None]).data
         bumped = Tensor(z_other.data + np.eye(1, z_other.shape[1], 2).T * 0.5)
         z2 = model.encode_grounded(h, bumped, "img",
-                                   other_pad_mask=toks.pad_mask[None]).data
+                                   other_pad_mask=real_mask(toks)[None]).data
         assert not np.array_equal(z1, z2)
 
 
 class TestWeightSharing:
     def _outputs(self, model, patches, toks):
-        h = model.embed_image(patches.patches[None])
+        h = model.embed_image(patches[None])
         z_txt = model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
-                                      pad_mask=toks.pad_mask[None])
+                                      pad_mask=real_mask(toks)[None])
         zu = model.encode_unimodal(h, "img").data.copy()
         zg = model.encode_grounded(h, z_txt, "img",
-                                   other_pad_mask=toks.pad_mask[None]).data.copy()
+                                   other_pad_mask=real_mask(toks)[None]).data.copy()
         return zu, zg
 
     def test_sa_weight_touches_both_paths(self):
@@ -364,8 +361,8 @@ class TestWeightSharing:
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
         h_txt = model.embed_text(toks.ids[None])
-        z_img = model.encode_unimodal(model.embed_image(patches.patches[None]), "img")
-        pad = toks.pad_mask[None]
+        z_img = model.encode_unimodal(model.embed_image(patches[None]), "img")
+        pad = real_mask(toks)[None]
 
         def outs():
             zu = model.encode_unimodal(h_txt, "txt", pad_mask=pad)
@@ -386,7 +383,7 @@ class TestDecode:
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
-        z = model.encode_unimodal(model.embed_image(patches.patches[None]), "img")
+        z = model.encode_unimodal(model.embed_image(patches[None]), "img")
         out = model.decode_modality(z, "img")
         assert out.shape == (1, cfg.n_patches + 1, cfg.patch_voxels)
 
@@ -394,7 +391,7 @@ class TestDecode:
         cfg = tiny_config(n_dec_layers=0)
         model = AlignFuseModel(cfg, seed=0)
         patches, _ = tiny_inputs(cfg)
-        z = model.embed_image(patches.patches[None])
+        z = model.embed_image(patches[None])
         out = model.decode_modality(z, "img")
         w = model.params["img.dec.head.w"].data
         b = model.params["img.dec.head.b"].data
@@ -407,8 +404,8 @@ class TestDecode:
         model = AlignFuseModel(cfg, seed=0)
         _, toks = tiny_inputs(cfg)
         z = model.encode_unimodal(model.embed_text(toks.ids[None]), "txt",
-                                  pad_mask=toks.pad_mask[None])
-        logits = model.decode_modality(z, "txt", pad_mask=toks.pad_mask[None])
+                                  pad_mask=real_mask(toks)[None])
+        logits = model.decode_modality(z, "txt", pad_mask=real_mask(toks)[None])
         assert logits.shape == (1, cfg.l_max, cfg.vocab_size)
         probs = sm(logits, axis=-1).data
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
@@ -517,8 +514,7 @@ def ragged_batch(cfg, lengths):
         ids = np.zeros(cfg.l_max, dtype=np.int64)
         ids[0] = CLS_ID
         ids[1:n_real] = rng.integers(4, cfg.vocab_size, n_real - 1)
-        tokens.append(TokenSequence(ids=ids, pad_mask=np.arange(cfg.l_max) < n_real,
-                                    length=n_real))
+        tokens.append(TokenSequence(ids=ids, length=n_real))
     return patches, tokens
 
 
@@ -572,7 +568,7 @@ class TestBatchMajor:
         trimmed = Batch.stack(patches, tokens)
         padded = Batch(patches=trimmed.patches,
                        ids=np.stack([t.ids for t in tokens]),
-                       pad_mask=np.stack([t.pad_mask for t in tokens]))
+                       pad_mask=np.stack([real_mask(t) for t in tokens]))
         assert trimmed.ids.shape[1] < padded.ids.shape[1]
         for a, b in zip(model.classify(trimmed), model.classify(padded)):
             assert np.allclose(a.data, b.data, rtol=0.0, atol=1e-12)
@@ -608,13 +604,13 @@ class TestAttentionMap:
         assert txt.shape == (cfg.l_max,)
         assert np.all(heat >= 0) and np.all(txt >= 0)
         assert txt[0] == 0.0
-        assert np.all(txt[~toks.pad_mask] == 0.0)
+        assert np.all(txt[~real_mask(toks)] == 0.0)
 
     def test_matches_recorded_attention(self):
         cfg = tiny_config()
         model = AlignFuseModel(cfg, seed=0)
         patches, toks = tiny_inputs(cfg)
-        _, rec = full_encoder(model, model.embed_image(patches.patches[None]), "img")
+        _, rec = full_encoder(model, model.embed_image(patches[None]), "img")
         row = rec[-1][0, :, 0, 1:].mean(axis=0)
         heat, _ = model.extract_attention_map(patches, toks)
         assert np.allclose(heat.reshape(-1), row / row.sum())
@@ -629,7 +625,7 @@ class TestAttentionMap:
         assert np.all(txt[1:5] > 0.0) and np.isclose(txt.sum(), 1.0, atol=1e-12)
         # the same weights as the [CLS] row of the full-length encoding
         _, rec = full_encoder(model, model.embed_text(toks.ids[None]), "txt",
-                              pad_mask=toks.pad_mask[None])
+                              pad_mask=real_mask(toks)[None])
         row = rec[-1][0, :, 0, :].mean(axis=0)
         row[0] = 0.0
         assert np.allclose(txt, row / row.sum(), rtol=0.0, atol=1e-12)
@@ -639,9 +635,9 @@ class TestAttentionMap:
         cfg = tiny_config(l_max=12)
         model = AlignFuseModel(cfg, seed=2)
         (patches,), (toks,) = ragged_batch(cfg, [5])
-        before = [a.copy() for a in (patches.patches, toks.ids, toks.pad_mask)]
+        before = [a.copy() for a in (patches, toks.ids)]
         heat, txt = model.extract_attention_map(patches, toks)
-        for a, b in zip((patches.patches, toks.ids, toks.pad_mask), before):
+        for a, b in zip((patches, toks.ids), before):
             assert a.tobytes() == b.tobytes()
         stacked_heat, stacked_txt = model.attention_maps(one_batch(patches, toks))
         assert heat.tobytes() == stacked_heat[0].tobytes()

@@ -596,6 +596,21 @@ class TestCheckpointing:
         assert o_old.t == o_new.t and o_old.m.keys() == o_new.m.keys()
         assert evaluate(m_old, examples).to_dict() == evaluate(m_new, examples).to_dict()
 
+    @pytest.mark.parametrize("section", ["parameter", "optimizer"])
+    @pytest.mark.parametrize("name", ["img.enc.0.sa.wk.bias", "fusion.wk.b", "zzz.wk.b.junk",
+                                      "img.enc.0.sa.wk.b.x"])
+    def test_blob_that_merely_contains_wk_b_is_refused(self, tmp_path, section, name):
+        # only `<attention>.wk.b` and its `.m` / `.v` moments are the older key bias
+        model, vocab, _ = tiny_setup(n=4)
+        cfg = TrainConfig(batch_size=4, steps=1, seed=0)
+        path = tmp_path / "x.ckpt"
+        save_model_checkpoint(path, model, vocab, AdamW(model.params, cfg))
+        payload, params, state = ckpt.load_checkpoint(path)
+        (params if section == "parameter" else state)[name] = np.zeros(8)
+        ckpt.save_checkpoint(path, payload, params, state)
+        with pytest.raises(CheckpointError, match=f"{section} blob '{name}' is not in the model"):
+            load_model_checkpoint(path, cfg)
+
     def test_resume_matches_uninterrupted(self, tmp_path):
         # 6 steps straight through
         model_a, vocab, examples = tiny_setup(n=6, seed=5)
