@@ -15,10 +15,11 @@ node with its residual: ``attention_sublayer`` (layer norm, q/k/v maps,
 multi-head attention, output map) and ``ffn_sublayer`` (layer norm, map,
 GELU, map). They keep what is costly to rebuild (xhat and 1/std, the
 projections, the attention output and its softmax statistics; the FFN's
-pre-activation and Φ of it) and rebuild the layer-norm and GELU outputs in
-backward with the forward's operations, so their values and gradients equal
-those of ``x +`` the composition of ``layer_norm``, ``linear``,
-``attention`` and ``Tensor.gelu`` bitwise.
+Φ(h)) and rebuild the rest in backward with the forward's operations (the
+layer-norm output; the FFN's pre-activation h, one GEMM, and its GELU
+output), so their values and gradients equal those of ``x +`` the
+composition of ``layer_norm``, ``linear``, ``attention`` and
+``Tensor.gelu`` bitwise.
 """
 
 from __future__ import annotations
@@ -182,15 +183,24 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     """Φ(x), the standard normal CDF: GELU(x) is ``x * Φ(x)``."""
-    cdf = erf(x * _INV_SQRT2)
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))  # an array even when x is 0-d
+    erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf
 
 
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """dGELU/dx from x and its Φ(x)."""
-    return cdf + x * (np.exp(-0.5 * x * x) * _INV_SQRT2PI)
+    """dGELU/dx, ``cdf + x * (exp(-x²/2) / √(2π))``, from x and its Φ(x),
+    built in one buffer with the operations of that expression in its order
+    (products and sums commute), so it has the expression's bits."""
+    t = np.multiply(-0.5, x, out=np.empty_like(x))
+    t *= x
+    np.exp(t, out=t)
+    t *= _INV_SQRT2PI
+    t *= x
+    t += cdf
+    return t
 
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -530,14 +540,17 @@ def weighted_square_error(pred: Tensor, target: np.ndarray, weights) -> Tensor:
     to pred's shape. Only the difference is kept: the backward is ``t + t``
     with ``t = g * weights * diff``, as the chain's two edges into the
     square add, so value and gradient equal the neg/add/mul/mul/sum chain
-    bitwise."""
+    bitwise. Each pass writes its products into one buffer."""
     diff = pred.data - target
 
     def grads(g):
         t = (g * weights) * diff
-        return (t + t,)
+        t += t
+        return (t,)
 
-    return Tensor._node(np.asarray((diff * diff * weights).sum()), (pred,), grads)
+    sq = diff * diff
+    sq *= weights
+    return Tensor._node(np.asarray(sq.sum()), (pred,), grads)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -743,10 +756,11 @@ def ffn_sublayer(x: Tensor, norm: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: 
                  b2: Tensor) -> Tensor:
     """The FFN sublayer of a pre-norm block and its residual as one node:
     ``x + GELU(u·w1 + b1)·w2 + b2`` with ``u`` the layer norm of `x` under
-    ``norm = (gamma, beta)``. The backward keeps xhat and 1/std, the
-    pre-activation h and its Φ(h). It rebuilds u and the GELU output
-    ``h * Φ(h)`` with the forward's operations and does not recompute erf,
-    so value and gradients equal those of the residual add over the
+    ``norm = (gamma, beta)``. The forward writes the GELU output ``h·Φ(h)``
+    into the pre-activation h's own buffer, and the backward keeps only
+    xhat and 1/std and Φ(h). It rebuilds u once, and from it h with the
+    forward's one GEMM, then the GELU output; it does not recompute erf.
+    So value and gradients equal those of the residual add over the
     layer_norm / linear / gelu / linear composition bitwise: x has an edge
     for the residual and then one for the norm."""
     gamma, beta = norm
@@ -755,23 +769,27 @@ def ffn_sublayer(x: Tensor, norm: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: 
                                                                  (f, d), (d,)]:
         raise DimensionError(f"FFN sublayer of {x.data.shape} rows by {w1.data.shape} "
                              f"and {w2.data.shape} maps")
-    w1d, w2d = w1.data, w2.data
+    w1d, b1d, w2d = w1.data, b1.data, w2.data
     norm_out, norm_backward = _layer_norm(x.data, gamma.data, beta.data)
-    h = _affine(norm_out(), w1d, b1.data)
+    h = _affine(norm_out(), w1d, b1d)
     cdf = _gelu_cdf(h)
+    h *= cdf  # the GELU output, in h's buffer: only Φ(h) is kept
+    out = _affine(h, w2d, b2.data)
+    out += x.data  # the bits of x + out: addition commutes
 
     def backward(g):
-        a = h * cdf
-        da = g @ w2d.T
-        dw2, db2 = _rows(a).T @ _rows(g), _rows(g).sum(axis=0)
-        del a
-        dh = da * _gelu_slope(h, cdf)
-        dw1, db1 = _rows(norm_out()).T @ _rows(dh), _rows(dh).sum(axis=0)
+        u = norm_out()
+        h = _affine(u, w1d, b1d)
+        dh = _gelu_slope(h, cdf)
+        h *= cdf  # the GELU output, in h's buffer
+        dw2, db2 = _rows(h).T @ _rows(g), _rows(g).sum(axis=0)
+        del h
+        dh *= g @ w2d.T  # the slope times the GELU output's gradient
+        dw1, db1 = _rows(u).T @ _rows(dh), _rows(dh).sum(axis=0)
+        del u
         dx, dgamma, dbeta = norm_backward(dh @ w1d.T)
         return g, dx, dgamma, dbeta, dw1, db1, dw2, db2
 
-    out = _affine(h * cdf, w2d, b2.data)
-    out += x.data  # the bits of x + out: addition commutes
     return Tensor._node(out, (x, x, gamma, beta, w1, b1, w2, b2), backward)
 
 

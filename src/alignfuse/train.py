@@ -311,20 +311,28 @@ def _check_blobs(path: Path, section: str, blobs: dict[str, np.ndarray],
                  expected: Iterable) -> dict[str, tuple]:
     """Walks the (name, shape, ...) entries of `expected`, raising
     CheckpointError at the first blob of `section` that is missing, of another
-    shape or not finite, then at one that nothing expects. Returns the shapes."""
+    shape or not finite, then at one that nothing expects or an older key
+    bias of another shape or not finite. Returns the shapes."""
     shapes: dict[str, tuple] = {}
-    for name, shape, *_ in expected:
-        shapes[name] = shape
+
+    def check(name: str, shape: tuple, owner: str) -> None:
         found = blobs[name].shape if name in blobs else "(absent)"
         if found != shape:
             raise CheckpointError(f"{path}: {section} blob {name!r} has shape {found} "
-                                  f"in the checkpoint and {shape} in the model")
+                                  f"in the checkpoint and {shape} {owner}")
         if not np.isfinite(blobs[name]).all():
             raise CheckpointError(f"{path}: {section} blob {name!r} is not finite")
-    # older checkpoints hold a key-projection bias `X.wk.b` beside `X.wk.w`; softmax cancels it
-    if extra := sorted(n for n in blobs.keys() - shapes.keys()
-                       if n.replace(".wk.b", ".wk.w") not in shapes):
-        raise CheckpointError(f"{path}: {section} blob {extra[0]!r} is not in the model")
+
+    for name, shape, *_ in expected:
+        shapes[name] = shape
+        check(name, shape, "in the model")
+    # older checkpoints hold a key-projection bias `X.wk.b` beside `X.wk.w`, one value per
+    # column of the map, and its moments; softmax cancels any such bias
+    for name in sorted(blobs.keys() - shapes.keys()):
+        weight = name.replace(".wk.b", ".wk.w")
+        if weight not in shapes:
+            raise CheckpointError(f"{path}: {section} blob {name!r} is not in the model")
+        check(name, shapes[weight][1:], "for an older key bias")
     return shapes
 
 

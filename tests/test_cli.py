@@ -540,6 +540,13 @@ BAD_CHECKPOINT = {
             {name: np.zeros(3)}), f"blob {name!r} is not in the model")
        for where in ("param", "state")
        for name in ("img.enc.0.sa.wk.bias", "fusion.wk.b", "zzz.wk.b.junk")},
+    # an older key bias loads only as one finite value per column of its map
+    "nan_key_bias": (lambda h, p, s: p.update({"img.enc.0.sa.wk.b": np.full((5, 7), np.nan)}),
+                     "img.enc.0.sa.wk.b"),
+    "key_bias_moment_not_finite": (
+        lambda h, p, s: s.update({"img.enc.0.sa.wk.b.v": np.full(h["model_config"]["d_model"],
+                                                                  np.inf)}),
+        "'img.enc.0.sa.wk.b.v' is not finite"),
     "param_shape": (lambda h, p, s: p.update({"fusion.l2.b": np.zeros(1)}),
                     "fusion.l2.b"),
     "optimizer_state": (lambda h, p, s: s.update({"img.lp.w.m": np.zeros(2)}),

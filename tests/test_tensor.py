@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 from alignfuse import tensor
 from alignfuse.errors import (
@@ -678,6 +680,53 @@ class TestFFNSublayer:
         norm, maps = sublayer_weights(4, seed=1, f=8)
         with pytest.raises(DimensionError):
             ffn_sublayer(rand_tensor((1, 3, 4)), norm, maps[2], maps[1], maps[0], maps[3])
+
+    # the FFN of a 513-token image block at the bigvol shape, where each
+    # (…, f) array, Φ(h) among them, is 4.2 MB
+    BIG, BIG_F = (4, 513, 64), 256
+    BIG_HIDDEN_BYTES = 8 * 4 * 513 * 256
+
+    def test_forward_keeps_no_second_hidden_array(self):
+        x = rand_tensor(self.BIG)
+        norm, maps = sublayer_weights(self.BIG[-1], seed=1, f=self.BIG_F)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ffn_sublayer(x, norm, *maps)
+            retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        # xhat (the size of x), 1/std and Φ(h); the pre-activation h is rebuilt
+        assert retained < x.data.nbytes + self.BIG_HIDDEN_BYTES + (1 << 20)
+
+    def test_backward_peak_is_below_three_hidden_arrays(self):
+        x = rand_tensor(self.BIG)
+        norm, maps = sublayer_weights(self.BIG[-1], seed=1, f=self.BIG_F)
+        g = rand_tensor(self.BIG, seed=2, requires_grad=False).data
+        out = ffn_sublayer(x, norm, *maps)
+        tracemalloc.start()
+        try:
+            out.node._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rebuilt h and the slope, then the slope and the GELU output's gradient
+        assert peak < 3 * self.BIG_HIDDEN_BYTES
+
+
+class TestGeluPrimitives:
+    @settings(max_examples=100, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                     max_side=5),
+                        elements=st.floats(-1e150, 1e150, allow_nan=False)))
+    def test_one_buffer_builds_give_the_expressions_bits(self, x):
+        kept = x.copy()
+        cdf = tensor._gelu_cdf(x)
+        assert cdf.tobytes() == ((erf(x * tensor._INV_SQRT2) + 1.0) * 0.5).tobytes()
+        slope = tensor._gelu_slope(x, cdf)
+        want = cdf + x * (np.exp(-0.5 * x * x) * tensor._INV_SQRT2PI)
+        assert slope.shape == want.shape and slope.tobytes() == want.tobytes()
+        assert x.tobytes() == kept.tobytes()
 
 
 class TestCrossEntropy:

@@ -324,6 +324,28 @@ class TestTrainSteps:
             tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0]
 
+    def test_bigvol_step_peak_is_bounded(self, monkeypatch):
+        # one step at the 64³ shape (patch 8, 513 image tokens, batch 4): the
+        # graph holds 100.0 MiB after the forward and the step peaks at 119.6
+        # MiB in the sublayer backwards (125.9 and 150.0 when the FFN nodes
+        # kept h beside Φ(h)). The attention tiles in flight grow with the
+        # tile workers, so their count is fixed here.
+        monkeypatch.setattr(tensor, "TILE_WORKERS", 2)
+        mcfg = ModelConfig(volume_side=64, patch_size=8, l_max=40)
+        records = generate_synthetic_dataset(4, 3, side=64, seed=1)
+        vocab = build_vocab(dataset_corpus(records), max_size=mcfg.vocab_size)
+        model = AlignFuseModel(mcfg, seed=0)
+        batch = collate(prepare_examples(records, vocab, mcfg))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch_loss(model, batch, LossWeights(), RngStream(0)).total.backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is not None for p in model.params.values())
+        assert peak < 125 * 2**20
+
     def test_tiled_attention_gives_the_same_bits(self, monkeypatch):
         def run():
             model, _, examples = tiny_setup(n=6, seed=3)
@@ -595,6 +617,25 @@ class TestCheckpointing:
         assert params_digest(m_old) == params_digest(m_new)
         assert o_old.t == o_new.t and o_old.m.keys() == o_new.m.keys()
         assert evaluate(m_old, examples).to_dict() == evaluate(m_new, examples).to_dict()
+
+    @pytest.mark.parametrize("section, name", [("parameter", "img.enc.0.sa.wk.b"),
+                                               ("optimizer", "img.enc.0.sa.wk.b.m")])
+    @pytest.mark.parametrize("blob, refused", [
+        (np.full(8, np.nan), "is not finite"),
+        (np.zeros((5, 7)), r"has shape \(5, 7\) in the checkpoint and \(8,\) for an older key bias"),
+    ], ids=["nan", "shape"])
+    def test_older_key_bias_must_be_finite_and_one_value_per_column(self, tmp_path, section,
+                                                                    name, blob, refused):
+        # a well-formed one loads as if absent (the test above); any other is refused
+        model, vocab, _ = tiny_setup(n=4)
+        cfg = TrainConfig(batch_size=4, steps=1, seed=0)
+        path = tmp_path / "x.ckpt"
+        save_model_checkpoint(path, model, vocab, AdamW(model.params, cfg))
+        payload, params, state = ckpt.load_checkpoint(path)
+        (params if section == "parameter" else state)[name] = blob
+        ckpt.save_checkpoint(path, payload, params, state)
+        with pytest.raises(CheckpointError, match=f"{section} blob '{name}' {refused}"):
+            load_model_checkpoint(path, cfg)
 
     @pytest.mark.parametrize("section", ["parameter", "optimizer"])
     @pytest.mark.parametrize("name", ["img.enc.0.sa.wk.bias", "fusion.wk.b", "zzz.wk.b.junk",
