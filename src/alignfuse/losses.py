@@ -74,10 +74,13 @@ def image_recon_loss(target: np.ndarray, recon: Tensor,
     records. `target` and `recon` are (..., P, V), `masked` is the (..., P)
     bool matrix of masked patches; a record with none contributes 0, and
     an empty mask set gives 0."""
+    masked = np.asarray(masked, dtype=bool)
     if recon.shape != tuple(target.shape):
         raise DimensionError(
             f"reconstruction shape {recon.shape} != target {target.shape}")
-    weight = _record_weights(np.asarray(masked, dtype=bool), target.shape[-1])
+    if masked.shape != target.shape[:-1]:
+        raise DimensionError(f"patch mask shape {masked.shape} != {target.shape[:-1]}")
+    weight = _record_weights(masked, target.shape[-1])
     return weighted_square_error(recon, target, weight[..., None])
 
 
@@ -87,6 +90,8 @@ def text_recon_loss(ids: np.ndarray, pad_mask: np.ndarray, logits: Tensor,
     within each record and then over records. `ids`, `pad_mask` and
     `masked` are (..., L), `logits` is (..., L, vocab)."""
     masked = np.asarray(masked, dtype=bool)
+    if masked.shape != np.shape(ids):
+        raise DimensionError(f"token mask shape {masked.shape} != ids {np.shape(ids)}")
     if masked[..., 0].any():
         raise ContractError("masked positions must exclude [CLS]")
     if (masked & ~pad_mask).any():

@@ -14,12 +14,12 @@ Each sublayer of a pre-norm transformer block, ``x + F(LN(x))``, is one
 node with its residual: ``attention_sublayer`` (layer norm, q/k/v maps,
 multi-head attention, output map) and ``ffn_sublayer`` (layer norm, map,
 GELU, map). They keep what is costly to rebuild (xhat and 1/std, the
-projections, the attention output and its softmax statistics; the FFN's
-Φ(h)) and rebuild the rest in backward with the forward's operations (the
-layer-norm output; the FFN's pre-activation h, one GEMM, and its GELU
-output), so their values and gradients equal those of ``x +`` the
-composition of ``layer_norm``, ``linear``, ``attention`` and
-``Tensor.gelu`` bitwise.
+projections, the attention output and each softmax row's max and sum; the
+FFN's Φ(h)) and rebuild the rest in backward with the forward's operations
+(the layer-norm output; the attention probabilities, tile by tile; the
+FFN's pre-activation h, one GEMM, and its GELU output), so their values and
+gradients equal those of ``x +`` the composition of ``layer_norm``,
+``linear``, ``attention`` and ``Tensor.gelu`` bitwise.
 """
 
 from __future__ import annotations
@@ -49,10 +49,12 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # NaN/Inf guard stays active) but large enough that exp underflows to 0.
 NEG_MASK_BIAS = -1e30
 LN_EPS = 1e-5  # added to the layer-norm variance
-# Bytes of float64 scores that one attention node may hold at once. A
-# desk-sized node is one tile; a 513-token image node is several, and the
-# tiles in flight on the workers share the budget. Node timings were the same
-# from one to four 513-token slices per tile.
+# Bytes of float64 scores that the tiles in flight of one attention node
+# share: the forward holds at most this much of scores at once and the
+# backward, a tile's probabilities beside their gradient, at most twice it
+# (unless one head slice alone is larger). A desk-sized node is one tile; a
+# 513-token image node is several. Node timings were the same from one to
+# four 513-token slices per tile.
 ATTENTION_TILE_BYTES = 8 << 20
 
 
@@ -91,11 +93,13 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
     os.register_at_fork(after_in_child=_tile_pool.cache_clear)
 
 
-def _each_tile(body: Callable[[slice], None], tiles: list[slice]) -> None:
-    """Call ``body(t)`` for every tile, on the tile workers when there are
-    several of them and of the tiles, else in the caller. The first error a
-    tile raises comes out here; tiles not yet started are then cancelled."""
-    run = map if TILE_WORKERS == 1 or len(tiles) == 1 else _tile_pool(TILE_WORKERS).map
+def _each_tile(body: Callable[[slice], None], tiles: list[slice], workers: int) -> None:
+    """Call ``body(t)`` for every tile, at most `workers` (and
+    ``TILE_WORKERS``) of them at once: on the tile workers when that is
+    several tiles, else in the caller. The first error a tile raises comes
+    out here; tiles not yet started are then cancelled."""
+    workers = min(workers, TILE_WORKERS, len(tiles))
+    run = map if workers == 1 else _tile_pool(workers).map
     for _ in run(body, tiles):
         pass
 
@@ -304,7 +308,7 @@ class Tensor:
         if not np.isfinite(data).all():
             raise NumericError("operation produced non-finite values")
         out = Tensor.__new__(Tensor)
-        out.data, out.node = data, None
+        out.data, out.node = np.asarray(data), None  # a 0-d result is an array, not a scalar
         need = [parent.node is not None for parent in parents]
         if not (_GRAD_ENABLED and any(need)):
             return out
@@ -532,7 +536,7 @@ def cross_entropy(logits: Tensor, targets, weights=1.0) -> Tensor:
         grad[hit] -= g * w
         return (grad.reshape(shape),)
 
-    return Tensor._node(np.asarray((w * (np.log(total) - picked)).sum()), (logits,), grads)
+    return Tensor._node((w * (np.log(total) - picked)).sum(), (logits,), grads)
 
 
 def weighted_square_error(pred: Tensor, target: np.ndarray, weights) -> Tensor:
@@ -550,7 +554,7 @@ def weighted_square_error(pred: Tensor, target: np.ndarray, weights) -> Tensor:
 
     sq = diff * diff
     sq *= weights
-    return Tensor._node(np.asarray(sq.sum()), (pred,), grads)
+    return Tensor._node(sq.sum(), (pred,), grads)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -624,19 +628,23 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
         p /= row_sum[t]
         return p
 
+    # a node is one tile when its head slices fit the budget or `record`
+    # takes its probabilities; else the tiles share the budget, and no more
+    # of them run at once than it holds
     slice_bytes = 8 * n_q * n_kv
-    probs = None
-    if record is not None or bh <= max(1, ATTENTION_TILE_BYTES // slice_bytes):
-        tiles = [slice(None)]
-        probs = probabilities(tiles[0], True)
-        if record is not None:
-            record.append(probs.reshape(b, n_heads, n_q, n_kv))
-    else:
-        per_tile = max(1, ATTENTION_TILE_BYTES // TILE_WORKERS // slice_bytes)
-        tiles = [slice(s, s + per_tile) for s in range(0, bh, per_tile)]
+    fit = max(1, ATTENTION_TILE_BYTES // slice_bytes)
+    per_tile = bh if record is not None or bh <= fit else max(1, fit // TILE_WORKERS)
+    tiles = [slice(s, s + per_tile) for s in range(0, bh, per_tile)]
+    workers = max(1, fit // per_tile)
     heads = np.empty((bh, n_q, dh))
-    _each_tile(lambda t: np.matmul(probabilities(t, True) if probs is None else probs,
-                                   vh[t], out=heads[t]), tiles)
+
+    def forward(t):
+        p = probabilities(t, True)
+        if record is not None:  # one tile: the node's probabilities
+            record.append(p.reshape(b, n_heads, n_q, n_kv))
+        np.matmul(p, vh[t], out=heads[t])
+
+    _each_tile(forward, tiles, workers)
     out = merge(heads)
 
     def backward(g):
@@ -647,7 +655,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
         dq, dk, dv = (np.empty_like(a) for a in (qh, kh, vh))
 
         def tile(t):
-            p = probabilities(t, False) if probs is None else probs
+            p = probabilities(t, False)
             np.matmul(p.swapaxes(-1, -2), gh[t], out=dv[t])
             # softmax backward in dP's own buffer
             ds = gh[t] @ vh[t].swapaxes(-1, -2)
@@ -656,7 +664,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
             np.matmul(ds, kh[t], out=dq[t])
             np.matmul(ds.swapaxes(-1, -2), qh[t], out=dk[t])
 
-        _each_tile(tile, tiles)
+        _each_tile(tile, tiles, workers)
         return merge(dq) * scale, merge(dk), merge(dv)
 
     return out, backward
@@ -668,16 +676,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     (B, Nkv, d) keys and values as one node. `key_mask`, the (B, Nkv) bool
     mask of real keys (any array-like), leaves out the pads: their scores get
     ``NEG_MASK_BIAS``, so beside a real key their probabilities are exactly 0.
-    When the scores of all B·h head slices fit ``ATTENTION_TILE_BYTES``, or
-    `record` takes the (B, h, Nq, Nkv) probabilities, the node is one tile and
-    the backward keeps them. Otherwise the slices run in tiles on the
-    ``TILE_WORKERS``, which share the budget; the backward keeps only each
-    row's max and sum and recomputes the tile's probabilities
-    (FlashAttention's trade, Dao et al., 2022). Both passes compute
-    probabilities with the same operations, and each tile writes only its own
-    slices, so every tiling gives the same bits. The backward computes the
-    gradients of all three inputs, as the sublayer nodes need them, and
-    ``_node`` drops those of the inputs that require no grad."""
+    The forward computes each tile's probabilities, keeps each row's max
+    and sum, multiplies by v and drops them; `record`, if given, takes the
+    (B, h, Nq, Nkv) probabilities. The backward recomputes each tile's
+    probabilities from the row max and sum (FlashAttention's trade, Dao et
+    al., 2022). When the scores of all B·h head slices fit
+    ``ATTENTION_TILE_BYTES``, or `record` is given, the node is one tile.
+    Otherwise the slices run in tiles on the ``TILE_WORKERS``, and the tiles
+    in flight share the budget. Both passes compute probabilities with the
+    same operations, and each tile writes only its own slices, so every
+    tiling gives the same bits. The backward computes the gradients of all
+    three inputs, as the sublayer nodes need them, and ``_node`` drops those
+    of the inputs that require no grad."""
     out, backward = _attend(q.data, k.data, v.data, n_heads, key_mask, record)
     return Tensor._node(out, (q, k, v), backward)
 
@@ -697,7 +707,7 @@ def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor]
     (B, 1, d).
 
     The backward keeps xhat and 1/std, the head-split q, k and v, the
-    attention output and its probabilities (or row max and sum). It rebuilds
+    attention output and each probability row's max and sum. It rebuilds
     u from xhat with the forward's operations and does not recompute the
     projections, so value and gradients equal those of the residual add over
     the layer_norm / linear / attention / linear composition bitwise: x has

@@ -135,6 +135,15 @@ class TestImageReconLoss:
             image_recon_loss(np.zeros((3, 4)), Tensor(np.zeros((4, 3))),
                              positions(4, [0]))
 
+    def test_mask_of_another_shape(self):
+        # a (P,) mask for a batch of two broadcast to twice the per-record mean
+        x = np.zeros((2, 3, 4))
+        recon = Tensor(np.full((2, 3, 4), 0.5))
+        for masked in (positions(3, [1]), np.ones((1, 3), dtype=bool),
+                       np.ones((2, 3, 4), dtype=bool)):
+            with pytest.raises(DimensionError, match="mask"):
+                image_recon_loss(x, recon, masked)
+
     def test_gradient(self):
         rng = np.random.Generator(np.random.PCG64(1))
         x = rng.uniform(0, 1, (4, 6))
@@ -208,6 +217,13 @@ class TestTextReconLoss:
         toks = make_tokens([1, 5, 6, 0], 3)
         with pytest.raises(ContractError):
             text_loss(toks, Tensor(np.zeros((4, 8))), [0, 1])
+
+    def test_mask_of_another_shape(self):
+        ids = np.array([[1, 5, 6, 0], [1, 4, 0, 0]])
+        logits = Tensor(np.zeros((2, 4, 8)))
+        for masked in (positions(4, [1]), np.zeros((1, 4), dtype=bool), positions(3, [1])):
+            with pytest.raises(DimensionError, match="mask"):
+                text_recon_loss(ids, ids != 0, logits, masked)
 
     def test_pad_position_is_a_contract_error(self):
         toks = make_tokens([1, 5, 6, 0], 3)

@@ -449,7 +449,7 @@ class TestAttention:
         slack = data.draw(st.integers(0, 8 * n_q * n_kv - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor, "ATTENTION_TILE_BYTES", per_tile * 8 * n_q * n_kv + slack)
-            mp.setattr(tensor, "TILE_WORKERS", data.draw(st.sampled_from([1, 2, 3])))
+            mp.setattr(tensor, "TILE_WORKERS", data.draw(st.sampled_from([1, 2, 3, 4])))
             tiled = self.run_node(inputs, n_heads, real, record, g)
         assert len(tiled) == len(one_tile)
         for got, want in zip(tiled, one_tile):
@@ -479,9 +479,10 @@ class TestAttention:
 
     @pytest.mark.parametrize("fail_at", [1, 4], ids=["forward", "backward"])
     def test_error_in_a_tile_comes_out_and_the_next_node_works(self, monkeypatch, fail_at):
-        # three one-slice tiles on two workers: the exps of calls 0-2 are the
-        # forward's, those of calls 3-5 the backward's recompute
-        monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 8 * 4 * 4)
+        # three one-slice tiles on two workers (the budget holds two slices):
+        # the exps of calls 0-2 are the forward's, those of calls 3-5 the
+        # backward's recompute
+        monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 2 * 8 * 4 * 4)
         monkeypatch.setattr(tensor, "TILE_WORKERS", 2)
         q, k, v = (rand_tensor((3, 4, 2), seed=s) for s in range(3))
         g = rand_tensor((3, 4, 2), seed=3, requires_grad=False).data
@@ -504,8 +505,9 @@ class TestAttention:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_forked_child_runs_tiles(self, monkeypatch):
-        # the child inherits the parent's pool object but none of its threads
-        monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 8 * 4 * 4)
+        # the child inherits the parent's pool object but none of its threads;
+        # three one-slice tiles on two workers
+        monkeypatch.setattr(tensor, "ATTENTION_TILE_BYTES", 2 * 8 * 4 * 4)
         monkeypatch.setattr(tensor, "TILE_WORKERS", 2)
         q = rand_tensor((3, 4, 2), requires_grad=False)
         want = attention(q, q, q, 1).data
@@ -538,10 +540,39 @@ class TestAttention:
         assert retained < tensor.ATTENTION_TILE_BYTES + 4 * q.data.nbytes
         assert retained < self.BIG_PROBS_BYTES
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_tile_forward_retains_no_probabilities(self):
+        # 32 head slices whose 4.3 MB of probabilities fit the budget: one tile
+        q, k, v = (rand_tensor((8, 129, 64), seed=s) for s in range(3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = attention(q, k, v, 4)
+            retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert 8 * 8 * 4 * 129 * 129 > 4 * q.data.nbytes
+        # the per-head q, k and v and each row's max and sum
+        assert retained < 4 * q.data.nbytes
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    def test_tiles_match_the_budget_on_any_worker_count(self, monkeypatch, workers):
+        # 8 MiB holds three 2.1 MB slices: one tile of three on one worker,
+        # else one-slice tiles on at most three workers
+        monkeypatch.setattr(tensor, "TILE_WORKERS", workers)
+        runs, each_tile = [], tensor._each_tile
+
+        def spy(body, tiles, n):
+            runs.append(([len(range(16)[t]) for t in tiles], min(n, workers)))
+            each_tile(body, tiles, n)
+        monkeypatch.setattr(tensor, "_each_tile", spy)
+        q = rand_tensor(self.BIG)
+        attention(q, q, q, self.BIG_HEADS).node._backward(np.ones(self.BIG))
+        want = ([3, 3, 3, 3, 3, 1] if workers == 1 else [1] * 16, min(workers, 3))
+        assert runs == [want, want]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
     def test_tiles_in_flight_share_the_budget(self, monkeypatch, workers):
-        # 8 MiB holds three 2.1 MB slices: undivided, three workers would
-        # hold 18.9 MB of scores at once
+        # undivided, eight workers would hold 16.8 MB of scores at once
         monkeypatch.setattr(tensor, "TILE_WORKERS", workers)
         q, k, v = (rand_tensor(self.BIG, seed=s) for s in range(3))
         tracemalloc.start()
@@ -554,6 +585,26 @@ class TestAttention:
         # beside the scores: the scaled q, the per-head q, k and v, and the
         # output heads, each the size of q
         assert peak - 5 * q.data.nbytes < tensor.ATTENTION_TILE_BYTES
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    def test_backward_tiles_in_flight_share_twice_the_budget(self, monkeypatch, workers):
+        # a backward tile holds its probabilities and their gradient
+        monkeypatch.setattr(tensor, "TILE_WORKERS", workers)
+        q, k, v = (rand_tensor(self.BIG, seed=s) for s in range(3))
+        g = rand_tensor(self.BIG, seed=3, requires_grad=False).data
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = attention(q, k, v, self.BIG_HEADS)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            out.node._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before - kept
+        finally:
+            tracemalloc.stop()
+        # beside the tiles: the per-head g and the per-head gradients of q, k
+        # and v, each the size of q
+        assert peak - 4 * q.data.nbytes < 2 * tensor.ATTENTION_TILE_BYTES
 
     def test_peak_is_below_one_probability_array(self):
         q, k, v = (rand_tensor(self.BIG, seed=s) for s in range(3))
@@ -1112,6 +1163,19 @@ class TestMisc:
             Tensor(np.ones((2, 1))).item()
         x = rand_tensor((3,), seed=14)  # a (1,) loss, as temperature() gives
         assert finite_diff_check(lambda t: (t * t).sum(keepdims=True), x) < 1e-8
+
+    def test_zero_d_results_are_writable_arrays(self):
+        # numpy returns a scalar for a 0-d result; the node stores an array
+        x = Tensor(0.3, requires_grad=True)
+        y = Tensor(np.array([0.5, -1.5]))
+        results = {"gelu": (x.gelu(), 0.3 * (0.5 * (1.0 + erf(0.3 * (1.0 / math.sqrt(2.0)))))),
+                   "exp": (x.exp(), np.exp(0.3)),
+                   "mul": (x * 2.0, 0.6),
+                   "sum": (y.sum(), -1.0)}
+        for name, (t, want) in results.items():
+            assert type(t.data) is np.ndarray and t.data.ndim == 0, name
+            assert t.data.flags.writeable, name
+            assert t.item() == want, name
 
     def test_unit_rows(self):
         x = rand_tensor((4, 6), seed=8)

@@ -324,27 +324,47 @@ class TestTrainSteps:
             tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0]
 
-    def test_bigvol_step_peak_is_bounded(self, monkeypatch):
-        # one step at the 64³ shape (patch 8, 513 image tokens, batch 4): the
-        # graph holds 100.0 MiB after the forward and the step peaks at 119.6
-        # MiB in the sublayer backwards (125.9 and 150.0 when the FFN nodes
-        # kept h beside Φ(h)). The attention tiles in flight grow with the
-        # tile workers, so their count is fixed here.
-        monkeypatch.setattr(tensor, "TILE_WORKERS", 2)
-        mcfg = ModelConfig(volume_side=64, patch_size=8, l_max=40)
-        records = generate_synthetic_dataset(4, 3, side=64, seed=1)
+    @staticmethod
+    def step_memory(mcfg, records):
+        """Bytes the graph holds after the forward of one step on a batch of
+        all `records`, and the step's peak, forward and backward."""
         vocab = build_vocab(dataset_corpus(records), max_size=mcfg.vocab_size)
         model = AlignFuseModel(mcfg, seed=0)
         batch = collate(prepare_examples(records, vocab, mcfg))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            batch_loss(model, batch, LossWeights(), RngStream(0)).total.backward()
+            loss = batch_loss(model, batch, LossWeights(), RngStream(0)).total
+            graph = tracemalloc.get_traced_memory()[0] - before
+            loss.backward()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert all(p.grad is not None for p in model.params.values())
-        assert peak < 125 * 2**20
+        return graph, peak
+
+    def test_desk_step_memory_is_bounded(self):
+        # default config, batch 8: the graph holds 32.9 MiB after the forward
+        # and the step peaks at 41.2 MiB (44.0 and 51.6 when every attention
+        # node kept its probabilities)
+        records = generate_synthetic_dataset(8, 3, side=32, seed=1)
+        graph, peak = self.step_memory(ModelConfig(), records)
+        assert graph < 34 * 2**20
+        assert peak < 43 * 2**20
+
+    def test_bigvol_step_peak_is_bounded(self, monkeypatch):
+        # one step at the 64³ shape (patch 8, 513 image tokens, batch 4): the
+        # graph holds 88.8 MiB after the forward and the step peaks at 108.4
+        # MiB in the sublayer backwards (119.6 when the one-tile attention
+        # nodes kept their probabilities, 150.0 when the FFN nodes also kept
+        # h). The tile count of a 513-token node follows the tile workers, so
+        # theirs is fixed here.
+        monkeypatch.setattr(tensor, "TILE_WORKERS", 2)
+        records = generate_synthetic_dataset(4, 3, side=64, seed=1)
+        graph, peak = self.step_memory(ModelConfig(volume_side=64, patch_size=8, l_max=40),
+                                       records)
+        assert graph < 90 * 2**20
+        assert peak < 111 * 2**20
 
     def test_tiled_attention_gives_the_same_bits(self, monkeypatch):
         def run():
