@@ -69,6 +69,12 @@ class TokenSequence:
     ids: np.ndarray        # (L_max,) int64
     length: int            # count of real tokens (incl. [CLS])
 
+    def checked_length(self) -> int:
+        """`length`; DimensionError when it is outside [1, L_max]: [CLS] is always real."""
+        if not 1 <= self.length <= len(self.ids):
+            raise DimensionError(f"token length {self.length} outside [1, {len(self.ids)}]")
+        return self.length
+
 
 @dataclass
 class Batch:
@@ -85,7 +91,7 @@ class Batch:
     @classmethod
     def stack(cls, patches: list[np.ndarray], tokens: list[TokenSequence],
               labels: list[int] | None = None) -> "Batch":
-        lengths = np.array([t.length for t in tokens])
+        lengths = np.array([t.checked_length() for t in tokens])
         n = lengths.max()
         return cls(patches=np.stack(patches),
                    ids=np.stack([t.ids[:n] for t in tokens]),

@@ -24,6 +24,7 @@ from .tensor import (
     RngStream,
     Tensor,
     attention_sublayer,
+    cls_probabilities,
     concat,
     ffn_sublayer,
     linear,
@@ -163,28 +164,28 @@ class AlignFuseModel:
 
     def _block(self, x: Tensor, name: str, pad_mask: np.ndarray | None,
                ctx: Tensor | None = None, ctx_pad_mask: np.ndarray | None = None,
-               record: list | None = None, cls_only: bool = False) -> Tensor:
+               cls_only: bool = False) -> Tensor:
         """One pre-norm block on (B, N, d) rows: self-attention, then (with
         `ctx`) cross-attention into ctx through the `<m>.ca.<i>` weights of
         block `<m>.enc.<i>`, then FFN, each one graph node with its residual.
         The (B, N) and (B, Nctx) masks of real rows leave the pads of `x` and
         `ctx` out as keys. With `cls_only` only row 0 queries and comes out,
         (B, 1, d); keys and values still span every row."""
-        p, heads = self.params, self.config.n_heads
-
-        def norm(ln):
-            return p[f"{ln}.g"], p[f"{ln}.b"]
-
-        def maps(att):  # the key map has no bias
-            return [p[f"{att}.{m}"]
-                    for m in ("wq.w", "wq.b", "wk.w", "wv.w", "wv.b", "wo.w", "wo.b")]
+        heads, norm, maps = self.config.n_heads, self._norm, self._maps
         x = attention_sublayer(x, norm(f"{name}.ln1"), maps(f"{name}.sa"), heads, pad_mask,
-                               record=record, cls_only=cls_only)
+                               cls_only=cls_only)
         if ctx is not None:
             ca = name.replace(".enc.", ".ca.")
             x = attention_sublayer(x, norm(f"{ca}.ln"), maps(ca), heads, ctx_pad_mask, ctx=ctx)
-        ffn = [p[f"{name}.ffn.{m}"] for m in ("l1.w", "l1.b", "l2.w", "l2.b")]
+        ffn = [self.params[f"{name}.ffn.{m}"] for m in ("l1.w", "l1.b", "l2.w", "l2.b")]
         return ffn_sublayer(x, norm(f"{name}.ln2"), *ffn)
+
+    def _norm(self, ln: str) -> tuple[Tensor, Tensor]:
+        return self.params[f"{ln}.g"], self.params[f"{ln}.b"]
+
+    def _maps(self, att: str) -> list[Tensor]:  # the key map has no bias
+        return [self.params[f"{att}.{m}"]
+                for m in ("wq.w", "wq.b", "wk.w", "wv.w", "wv.b", "wo.w", "wo.b")]
 
     # -- embedding ------------------------------------------------------------
 
@@ -244,17 +245,15 @@ class AlignFuseModel:
             h = self._block(h, f"{modality}.enc.{i}", pad_mask)
         return h
 
-    def encode_cls(self, h: Tensor, modality: str, pad_mask: np.ndarray | None = None,
-                   record: list | None = None) -> Tensor:
+    def encode_cls(self, h: Tensor, modality: str, pad_mask: np.ndarray | None = None) -> Tensor:
         """Row 0 of `encode_unimodal`, (B, d). Only the [CLS] row of the last
         block's output is read, so that block runs the [CLS] query alone (the
-        class-attention layer of CaiT, Touvron et al., 2021). `record`
-        receives that block's (B, h, 1, N) attention."""
+        class-attention layer of CaiT, Touvron et al., 2021)."""
         n = self.config.n_enc_layers
         for i in range(n - 1):
             h = self._block(h, f"{modality}.enc.{i}", pad_mask)
         if n:
-            h = self._block(h, f"{modality}.enc.{n - 1}", pad_mask, record=record, cls_only=True)
+            h = self._block(h, f"{modality}.enc.{n - 1}", pad_mask, cls_only=True)
         return h[:, 0]
 
     def encode_grounded(self, h_masked: Tensor, z_other: Tensor, modality: str,
@@ -346,23 +345,29 @@ class AlignFuseModel:
     def attention_maps(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
         """[CLS]-query self-attention of the last unimodal encoder block,
         averaged over heads, one row per record; [CLS] (and pad) keys
-        removed, renormalized.
+        removed, renormalized. The earlier blocks run on every row; of the
+        last block only ``tensor.cls_probabilities`` runs, with no value or
+        output map and no FFN.
 
         Returns ((B, g, g, g) image heat on the (S/p)^3 grid, (B, L_max) text
         weights with zeros at [CLS] and pads). A record with no token but
         [CLS] puts all its text weight on [CLS]. Raises ConfigError when
         there is no encoder block."""
         self.require_self_attention()
+        n = self.config.n_enc_layers
+
+        def cls_row(h, modality, pad_mask=None):  # (B, N - 1): the [CLS] key dropped
+            for i in range(n - 1):
+                h = self._block(h, f"{modality}.enc.{i}", pad_mask)
+            last = f"{modality}.enc.{n - 1}"
+            probs = cls_probabilities(h, self._norm(f"{last}.ln1"), self._maps(f"{last}.sa"),
+                                      self.config.n_heads, pad_mask)
+            return probs[:, :, 0, 1:].mean(axis=1)
         g = self.config.grid_side
-        rec_img: list = []
-        rec_txt: list = []
-        self.encode_cls(self.embed_image(batch.patches), "img", record=rec_img)
-        self.encode_cls(self.embed_text(batch.ids), "txt", pad_mask=batch.pad_mask,
-                        record=rec_txt)
-        img = rec_img[0][:, :, 0, 1:].mean(axis=1)  # drop [CLS] key
+        img = cls_row(self.embed_image(batch.patches), "img")
         txt = np.zeros((len(batch.ids), self.config.l_max))
         # pad keys already hold exactly 0: attention leaves them out
-        txt[:, 1:batch.ids.shape[1]] = rec_txt[0][:, :, 0, 1:].mean(axis=1)
+        txt[:, 1:batch.ids.shape[1]] = cls_row(self.embed_text(batch.ids), "txt", batch.pad_mask)
         txt[txt.sum(axis=1) == 0, 0] = 1.0
         return ((img / img.sum(axis=1, keepdims=True)).reshape(-1, g, g, g),
                 txt / txt.sum(axis=1, keepdims=True))
@@ -370,8 +375,9 @@ class AlignFuseModel:
     def extract_attention_map(self, patches: np.ndarray,
                               tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
         """Row 0 of `attention_maps` on a batch of this one record, built
-        from views of its (P, p^3) patches and real ids under an all-true mask."""
-        n = tokens.length
+        from views of its (P, p^3) patches and real ids under an all-true mask.
+        Raises DimensionError when the token length is outside [1, L_max]."""
+        n = tokens.checked_length()
         heat, txt = self.attention_maps(Batch(patches[None], tokens.ids[None, :n],
                                               np.ones((1, n), dtype=bool)))
         return heat[0], txt[0]

@@ -19,7 +19,9 @@ FFN's Φ(h)) and rebuild the rest in backward with the forward's operations
 (the layer-norm output; the attention probabilities, tile by tile; the
 FFN's pre-activation h, one GEMM, and its GELU output), so their values and
 gradients equal those of ``x +`` the composition of ``layer_norm``,
-``linear``, ``attention`` and ``Tensor.gelu`` bitwise.
+``linear``, ``attention`` and ``Tensor.gelu`` bitwise. No node keeps or
+returns attention probabilities: ``cls_probabilities`` computes those of
+the [CLS] query with the step that ``attention`` runs, and nothing else.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ LN_EPS = 1e-5  # added to the layer-norm variance
 # backward, a tile's probabilities beside their gradient, at most twice it
 # (unless one head slice alone is larger). A desk-sized node is one tile; a
 # 513-token image node is several. Node timings were the same from one to
-# four 513-token slices per tile.
+# four 513-token slices per tile. The one-row scores of ``cls_probabilities``
+# are one tile at any size.
 ATTENTION_TILE_BYTES = 8 << 20
 
 
@@ -585,37 +588,34 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                         (x, w) if b is None else (x, w, b), grads)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
-            key_mask, record: list | None):
-    """Multi-head attention on arrays; see ``attention``. Returns the
-    (B, Nq, d) output and ``backward(g)``, which maps the output's gradient
-    to those of q, k and v."""
+def _head_scores(q: np.ndarray, k: np.ndarray, n_heads: int, key_mask):
+    """Checks the (B, Nq, d) queries, (B, Nkv, d) keys and key mask of
+    multi-head attention. Returns ``split``, which makes (B, N, d) rows
+    contiguous (B·h, N, d_h) head slices, 1/√d_h, the split scaled q and k,
+    and ``probabilities(t, forward)``, those of head slices t: the forward's
+    call stores each row's max and sum, and a recompute reuses them."""
     (b, n_q, d), n_kv = q.shape, k.shape[1]
     if key_mask is not None:
         key_mask = np.asarray(key_mask)
-    if d % n_heads or k.shape != (b, n_kv, d) or v.shape != k.shape or (
+    if 0 in (b, n_q, n_kv, d) or d % n_heads or k.shape != (b, n_kv, d) or (
             key_mask is not None and key_mask.shape != (b, n_kv)):
-        raise DimensionError(f"attention of {q.shape} over {k.shape} keys and {v.shape} "
-                             f"values in {n_heads} heads, key mask {np.shape(key_mask)}")
+        raise DimensionError(f"attention of {q.shape} over {k.shape} keys in {n_heads} heads, "
+                             f"key mask {np.shape(key_mask)}")
     if key_mask is not None and key_mask.dtype != bool:
         raise DimensionError(f"key mask of dtype {key_mask.dtype}: it must be bool")
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
-    bh = b * n_heads
 
-    def split(a):  # (B, N, d) -> contiguous (B·h, N, d_h); a view of `a` when h == 1
+    def split(a):  # a view of `a` when h == 1
         return np.ascontiguousarray(
-            a.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)).reshape(bh, -1, dh)
-    def merge(a):  # (B·h, N, d_h) -> (B, N, d)
-        return a.reshape(b, n_heads, -1, dh).transpose(0, 2, 1, 3).reshape(b, -1, d)
-    qh, kh, vh = split(q * scale), split(k), split(v)
+            a.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)).reshape(b * n_heads, -1, dh)
+    qh, kh = split(q * scale), split(k)
     bias = None
     if key_mask is not None and not key_mask.all():  # one (1, Nkv) row per head slice
         bias = np.repeat(np.where(key_mask, 0.0, NEG_MASK_BIAS), n_heads, axis=0)[:, None]
-    row_max, row_sum = np.empty((bh, n_q, 1)), np.empty((bh, n_q, 1))
+    row_max, row_sum = np.empty((len(qh), n_q, 1)), np.empty((len(qh), n_q, 1))
 
     def probabilities(t, forward):
-        # the forward stores each row's max and sum; a recompute reuses them
         p = qh[t] @ kh[t].swapaxes(-1, -2)
         if bias is not None:
             p += bias[t]
@@ -628,21 +628,33 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
         p /= row_sum[t]
         return p
 
-    # a node is one tile when its head slices fit the budget or `record`
-    # takes its probabilities; else the tiles share the budget, and no more
-    # of them run at once than it holds
+    return split, scale, qh, kh, probabilities
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, key_mask):
+    """Multi-head attention on arrays; see ``attention``. Returns the
+    (B, Nq, d) output and ``backward(g)``, which maps the output's gradient
+    to those of q, k and v."""
+    if v.shape != k.shape:
+        raise DimensionError(f"attention over {k.shape} keys and {v.shape} values")
+    split, scale, qh, kh, probabilities = _head_scores(q, k, n_heads, key_mask)
+    (b, n_q, d), n_kv, vh = q.shape, k.shape[1], split(v)
+    bh, dh = len(qh), d // n_heads
+
+    def merge(a):  # (B·h, N, d_h) -> (B, N, d)
+        return a.reshape(b, n_heads, -1, dh).transpose(0, 2, 1, 3).reshape(b, -1, d)
+
+    # a node is one tile when its head slices fit the budget; else the tiles
+    # share it, and no more of them run at once than it holds
     slice_bytes = 8 * n_q * n_kv
     fit = max(1, ATTENTION_TILE_BYTES // slice_bytes)
-    per_tile = bh if record is not None or bh <= fit else max(1, fit // TILE_WORKERS)
+    per_tile = bh if bh <= fit else max(1, fit // TILE_WORKERS)
     tiles = [slice(s, s + per_tile) for s in range(0, bh, per_tile)]
     workers = max(1, fit // per_tile)
     heads = np.empty((bh, n_q, dh))
 
     def forward(t):
-        p = probabilities(t, True)
-        if record is not None:  # one tile: the node's probabilities
-            record.append(p.reshape(b, n_heads, n_q, n_kv))
-        np.matmul(p, vh[t], out=heads[t])
+        np.matmul(probabilities(t, True), vh[t], out=heads[t])
 
     _each_tile(forward, tiles, workers)
     out = merge(heads)
@@ -670,41 +682,38 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int,
     return out, backward
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              key_mask=None, record: list | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> Tensor:
     """Multi-head ``softmax(q·kᵀ/√d_h)·v`` of (B, Nq, d) queries over
     (B, Nkv, d) keys and values as one node. `key_mask`, the (B, Nkv) bool
     mask of real keys (any array-like), leaves out the pads: their scores get
     ``NEG_MASK_BIAS``, so beside a real key their probabilities are exactly 0.
     The forward computes each tile's probabilities, keeps each row's max
-    and sum, multiplies by v and drops them; `record`, if given, takes the
-    (B, h, Nq, Nkv) probabilities. The backward recomputes each tile's
+    and sum, multiplies by v and drops them; ``cls_probabilities`` is the
+    one way to read probabilities. The backward recomputes each tile's
     probabilities from the row max and sum (FlashAttention's trade, Dao et
     al., 2022). When the scores of all B·h head slices fit
-    ``ATTENTION_TILE_BYTES``, or `record` is given, the node is one tile.
-    Otherwise the slices run in tiles on the ``TILE_WORKERS``, and the tiles
-    in flight share the budget. Both passes compute probabilities with the
-    same operations, and each tile writes only its own slices, so every
-    tiling gives the same bits. The backward computes the gradients of all
-    three inputs, as the sublayer nodes need them, and ``_node`` drops those
-    of the inputs that require no grad."""
-    out, backward = _attend(q.data, k.data, v.data, n_heads, key_mask, record)
+    ``ATTENTION_TILE_BYTES``, the node is one tile. Otherwise the slices run
+    in tiles on the ``TILE_WORKERS``, and the tiles in flight share the
+    budget. Both passes compute probabilities with the same operations, and
+    each tile writes only its own slices, so every tiling gives the same
+    bits. The backward computes the gradients of all three inputs, as the
+    sublayer nodes need them, and ``_node`` drops those of the inputs that
+    require no grad."""
+    out, backward = _attend(q.data, k.data, v.data, n_heads, key_mask)
     return Tensor._node(out, (q, k, v), backward)
 
 
 def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor], n_heads: int,
-                       key_mask=None, ctx: Tensor | None = None, record: list | None = None,
-                       cls_only: bool = False) -> Tensor:
+                       key_mask=None, ctx: Tensor | None = None, cls_only: bool = False) -> Tensor:
     """The attention sublayer of a pre-norm block and its residual as one
     node: ``x + attention(u·wq + bq, c·wk, c·wv + bv)·wo + bo`` with ``u``
     the layer norm of the (B, N, d) rows `x` under ``norm = (gamma, beta)``,
     and ``c`` either u (self-attention) or the (B, Nc, d) `ctx`
     (cross-attention; ctx gets no norm). ``maps = (wq, bq, wk, wv, bv, wo,
     bo)``; the key map has no bias, since it would add the same amount to
-    every score of a query. `key_mask` (B, Nc) marks the real rows of c, and
-    `record` takes the probabilities, as in ``attention``. With `cls_only`
-    only row 0 of u queries and only row 0 of x is added: the output is
-    (B, 1, d).
+    every score of a query. `key_mask` (B, Nc) marks the real rows of c, as
+    in ``attention``. With `cls_only` only row 0 of u queries and only row 0
+    of x is added: the output is (B, 1, d).
 
     The backward keeps xhat and 1/std, the head-split q, k and v, the
     attention output and each probability row's max and sum. It rebuilds
@@ -728,7 +737,7 @@ def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor]
     cd = None if ctx is None else ctx.data
     kv = u if cd is None else cd
     att, attend_backward = _attend(_affine(u[:, :1] if cls_only else u, wqd, bq.data),
-                                   kv @ wkd, _affine(kv, wvd, bv.data), n_heads, key_mask, record)
+                                   kv @ wkd, _affine(kv, wvd, bv.data), n_heads, key_mask)
     out = _affine(att, wod, bo.data)
     out += x.data[:, :1] if cls_only else x.data  # the bits of x + out: addition commutes
     shape = x.data.shape
@@ -760,6 +769,24 @@ def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor]
     ctx_edge = () if ctx is None else (ctx,)
     return Tensor._node(out, (x, x, gamma, beta, wq, bq, *ctx_edge, wk, *ctx_edge, wv, bv, wo, bo),
                         backward)
+
+
+def cls_probabilities(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor], n_heads: int,
+                      key_mask=None) -> np.ndarray:
+    """The (B, h, 1, N) probabilities of the [CLS] query, row 0 of the
+    (B, N, d) rows `x`, in ``attention_sublayer(x, norm, maps, n_heads,
+    key_mask)``, with its bits: that node's layer norm, q map of row 0 and k
+    map of every row, then the step of ``attention``, in one tile. It reads
+    only ``maps[:3] = (wq, bq, wk)`` and builds no graph node."""
+    (gamma, beta), (wq, bq, wk), d = norm, maps[:3], x.data.shape[-1]
+    if x.data.ndim != 3 or [t.data.shape for t in (gamma, beta, wq, bq, wk)] != [
+            (d,), (d,), (d, d), (d,), (d, d)]:
+        raise DimensionError(f"[CLS] attention of {x.data.shape} rows by maps of "
+                             f"{[w.data.shape for w in maps[:3]]}")
+    u = _layer_norm(x.data, gamma.data, beta.data)[0]()
+    *_, probabilities = _head_scores(_affine(u[:, :1], wq.data, bq.data), u @ wk.data, n_heads,
+                                     key_mask)
+    return probabilities(slice(None), True).reshape(len(u), n_heads, 1, -1)
 
 
 def ffn_sublayer(x: Tensor, norm: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor,

@@ -304,6 +304,15 @@ class TestBatchStack:
         assert np.array_equal(batch.pad_mask, batch.ids != PAD_ID)
 
 
+    @pytest.mark.parametrize("length", [0, 13])
+    def test_token_length_outside_the_ids_is_refused(self, length):
+        # [CLS] is always real, and no more tokens are real than there are ids
+        vocab = build_vocab(["alpha beta"])
+        good = tokenize("alpha beta", vocab, 12)
+        with pytest.raises(DimensionError, match=f"token length {length} "):
+            Batch.stack([np.zeros((1, 8))] * 2, [good, TokenSequence(good.ids, length)])
+
+
 class TestSyntheticDataset:
     def test_single_record(self):
         recs = generate_synthetic_dataset(1, 3, side=16, seed=0)

@@ -18,7 +18,7 @@ from alignfuse.data import (
 )
 from alignfuse.errors import ConfigError, DimensionError, VocabError
 from alignfuse.model import AlignFuseModel, ModelConfig, param_specs
-from alignfuse.tensor import RngStream, Tensor, finite_diff_check
+from alignfuse.tensor import RngStream, Tensor, cls_probabilities, finite_diff_check
 
 
 def tiny_config(**kw):
@@ -51,12 +51,15 @@ def one_batch(patches, toks):
 
 def full_encoder(model, h, modality, pad_mask=None):
     """Oracle of the [CLS]-only inference path: every unimodal block on every
-    row. Returns the (B, N, d) output and each block's recorded (B, h, N, N)
-    attention probabilities."""
-    rec = []
+    row. Returns the (B, N, d) output and each block's (B, h, 1, N) [CLS]-query
+    attention probabilities, read by `cls_probabilities` from its input."""
+    probs = []
     for i in range(model.config.n_enc_layers):
-        h = model._block(h, f"{modality}.enc.{i}", pad_mask, record=rec)
-    return h, rec
+        name = f"{modality}.enc.{i}"
+        probs.append(cls_probabilities(h, model._norm(f"{name}.ln1"), model._maps(f"{name}.sa"),
+                                       model.config.n_heads, pad_mask))
+        h = model._block(h, name, pad_mask)
+    return h, probs
 
 
 class TestModelConfig:
@@ -718,6 +721,51 @@ class TestClsOnlyInference:
         n_img, n_txt, d = cfg.n_patches + 1, batch.ids.shape[1], cfg.d_model
         assert sorted(rows) == sorted(2 * [(3, n_img, d)] + 2 * [(3, n_txt, d)]
                                       + 4 * [(3, 1, d)])
+
+    def test_attention_maps_stop_at_the_last_block_probabilities(self):
+        cfg = tiny_config(n_enc_layers=2, l_max=12)
+        model = AlignFuseModel(cfg, seed=0)
+        batch = Batch.stack(*ragged_batch(cfg, [3, 8, 5]))
+        want_heat, want_txt = model.attention_maps(batch)
+        calls = []
+
+        def spy(name):  # the sublayer node's name, input rows and output rows
+            sublayer = getattr(model_module, name)
+
+            def run(x, *args, **kwargs):
+                out = sublayer(x, *args, **kwargs)
+                calls.append((name, x.shape, out.shape))
+                return out
+            return mock.patch.object(model_module, name, run)
+
+        class Multiplied(Exception):
+            pass
+
+        class Unread(np.ndarray):  # an array that no ufunc, matmul included, may read
+            def __array_ufunc__(self, *args, **kwargs):
+                raise Multiplied
+        for m in ("img", "txt"):  # the last block's value and output maps
+            for w in ("wv.w", "wo.w"):
+                t = model.params[f"{m}.enc.1.sa.{w}"]
+                t.data = t.data.view(Unread)
+        with pytest.raises(Multiplied):  # the guard holds: classify runs that block
+            model.classify(batch)
+        with spy("attention_sublayer"), spy("ffn_sublayer"):
+            heat, txt = model.attention_maps(batch)
+        # block 0 on every row; of block 1 no sublayer node runs
+        n_img, n_txt, d = cfg.n_patches + 1, batch.ids.shape[1], cfg.d_model
+        assert sorted(calls) == sorted((name, (3, n, d), (3, n, d))
+                                       for name in ("attention_sublayer", "ffn_sublayer")
+                                       for n in (n_img, n_txt))
+        assert heat.tobytes() == want_heat.tobytes() and txt.tobytes() == want_txt.tobytes()
+
+    @pytest.mark.parametrize("length", [0, 13])
+    def test_token_length_outside_the_ids_is_refused(self, length):
+        cfg = tiny_config(l_max=12)
+        model = AlignFuseModel(cfg, seed=0)
+        (patches,), (toks,) = ragged_batch(cfg, [5])
+        with pytest.raises(DimensionError, match=f"token length {length} "):
+            model.extract_attention_map(patches, TokenSequence(toks.ids, length))
 
     def test_no_encoder_block_has_no_attention_map(self):
         cfg = tiny_config(n_enc_layers=0)

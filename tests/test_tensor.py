@@ -26,6 +26,7 @@ from alignfuse.tensor import (
     Tensor,
     attention,
     attention_sublayer,
+    cls_probabilities,
     concat,
     cross_entropy,
     ffn_sublayer,
@@ -60,24 +61,42 @@ def linear_composition(x, w, b=None):
     return x @ w if b is None else x @ w + b
 
 
-def attention_composition(q, k, v, n_heads, key_mask=None):
-    """Multi-head attention as the reshape, transpose, scale, matmul and
-    softmax nodes that the one-node `attention` replaced, with pad keys of
-    the (B, Nkv) `key_mask` under a (B, 1, 1, Nkv) bias: the oracle for its
-    values and gradients."""
+def attention_scores_composition(q, k, n_heads, key_mask=None):
+    """The (B, h, Nq, Nkv) scores of multi-head attention as reshape,
+    transpose, scale and matmul nodes, with pad keys of the (B, Nkv)
+    `key_mask` under a (B, 1, 1, Nkv) bias."""
     (b, n_q, d), n_kv = q.shape, k.shape[1]
     dh = d // n_heads
     qh = (q * (1.0 / math.sqrt(dh))).reshape(b, n_q, n_heads, dh).transpose(0, 2, 1, 3)
-    kt = k.reshape(b, n_kv, n_heads, dh).transpose(0, 2, 3, 1)
-    vh = v.reshape(b, n_kv, n_heads, dh).transpose(0, 2, 1, 3)
-    scores = qh @ kt
+    scores = qh @ k.reshape(b, n_kv, n_heads, dh).transpose(0, 2, 3, 1)
     if key_mask is not None:
         scores = scores + np.where(key_mask, 0.0, NEG_MASK_BIAS)[:, None, None, :]
-    return (softmax(scores, axis=-1) @ vh).transpose(0, 2, 1, 3).reshape(b, n_q, d)
+    return scores
+
+
+def attention_composition(q, k, v, n_heads, key_mask=None):
+    """Multi-head attention as the score nodes above and the softmax, matmul,
+    transpose and reshape nodes that the one-node `attention` replaced: the
+    oracle for its values and gradients."""
+    (b, n_q, d), n_kv = q.shape, k.shape[1]
+    vh = v.reshape(b, n_kv, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    probs = softmax(attention_scores_composition(q, k, n_heads, key_mask), axis=-1)
+    return (probs @ vh).transpose(0, 2, 1, 3).reshape(b, n_q, d)
+
+
+def cls_probabilities_composition(x, norm, maps, n_heads, key_mask=None):
+    """The (B, h, 1, N) [CLS]-query probabilities of a self-attention
+    sublayer as the softmax of the composed scores over the layer_norm and
+    linear nodes: the oracle for `cls_probabilities`, bit for bit."""
+    wq, bq, wk = maps[:3]
+    u = layer_norm(x, *norm)
+    scores = attention_scores_composition(linear(u[:, :1], wq, bq), linear(u, wk), n_heads,
+                                          key_mask)
+    return softmax(scores, axis=-1).data
 
 
 def attention_sublayer_composition(x, norm, maps, n_heads, key_mask=None, ctx=None,
-                                   record=None, cls_only=False):
+                                   cls_only=False):
     """The pre-norm attention sublayer and its residual as the layer_norm,
     linear, attention, slice and add nodes that the one-node
     `attention_sublayer` replaced: the oracle for its values and gradients,
@@ -86,7 +105,7 @@ def attention_sublayer_composition(x, norm, maps, n_heads, key_mask=None, ctx=No
     u = layer_norm(x, *norm)
     kv = u if ctx is None else ctx
     q = linear(u[:, :1] if cls_only else u, wq, bq)
-    heads = attention(q, linear(kv, wk), linear(kv, wv, bv), n_heads, key_mask, record)
+    heads = attention(q, linear(kv, wk), linear(kv, wv, bv), n_heads, key_mask)
     return (x[:, :1] if cls_only else x) + linear(heads, wo, bo)
 
 
@@ -353,36 +372,54 @@ class TestAttention:
         q, k, v = (rand_tensor((2, 3, 4), seed=s) for s in range(3))
         g = rand_tensor((2, 3, 4), seed=3, requires_grad=False).data
         runs = []
+        norm, maps = sublayer_weights(4, seed=5)
         for real in (None, np.ones((2, 3), dtype=bool)):
             leaves = [Tensor(t.data, requires_grad=True) for t in (q, k, v)]
-            rec = []
-            out = attention(*leaves, 2, real, rec)
+            out = attention(*leaves, 2, real)
             out.node._backward(g)
-            runs.append([out.data, *rec, *(t.grad for t in leaves)])
+            runs.append([out.data, cls_probabilities(q, norm, maps, 2, real),
+                         *(t.grad for t in leaves)])
         for got, want in zip(*runs):
             assert got.tobytes() == want.tobytes()
 
     def test_records_probabilities_with_pad_keys_at_zero(self):
-        q, k, v = (rand_tensor((2, 5, 4), seed=s) for s in range(3))
+        x, (q, k, v) = rand_tensor((2, 5, 4)), (rand_tensor((2, 5, 4), seed=s) for s in range(3))
+        norm, maps = sublayer_weights(4, seed=3)
         real = np.array([[True] * 5, [True, True, False, True, False]])
-        rec = []
-        attention(q, k, v, 2, real, rec)
-        (probs,) = rec
-        assert probs.shape == (2, 2, 5, 5)
+        probs = cls_probabilities(x, norm, maps, 2, real)
+        assert probs.shape == (2, 2, 1, 5)
         assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9)
         assert np.all(probs[1][:, :, ~real[1]] == 0.0)
+        # every query row of the node: its probabilities sum to 1 (they map
+        # values of 1 to 1), and a pad's value is read with weight exactly 0
+        ones = attention(q, k, Tensor(np.ones(v.shape)), 2, real).data
+        assert np.all(np.abs(ones - 1.0) <= 1e-9)
+        moved = v.data.copy()
+        moved[~real] += 100.0
+        assert np.array_equal(attention(q, k, v, 2, real).data,
+                              attention(q, k, Tensor(moved), 2, real).data)
+
+    def test_zero_records_queries_or_keys(self):
+        k = rand_tensor((1, 3, 4))
+        with pytest.raises(DimensionError, match="attention of"):
+            attention(Tensor(np.ones((1, 0, 4))), k, k, 2)
+        with pytest.raises(DimensionError, match="attention of"):
+            attention(k, Tensor(np.ones((1, 0, 4))), Tensor(np.ones((1, 0, 4))), 2)
+        with pytest.raises(DimensionError, match="attention of"):
+            attention(*(Tensor(np.ones((0, 3, 4))),) * 3, 2)
+        norm, maps = sublayer_weights(4, seed=1)
+        with pytest.raises(DimensionError, match="attention of"):
+            cls_probabilities(Tensor(np.ones((1, 0, 4))), norm, maps, 2)
 
     def test_backward_writes_into_no_input(self):
         # with one head the per-head arrays are views of q, k and v
         q, k, v = (rand_tensor((2, 4, 3), seed=s) for s in range(3))
-        rec = []
-        out = attention(q, k, v, 1, record=rec)
-        probs = rec[0].copy()
+        out = attention(q, k, v, 1)
         g = rand_tensor(out.shape, seed=4, requires_grad=False).data
-        for a in (q.data, k.data, v.data, g, rec[0]):
+        for a in (q.data, k.data, v.data, g):
             a.flags.writeable = False
         out.node._backward(g)
-        assert np.array_equal(rec[0], probs)
+        assert all(t.grad is not None for t in (q, k, v))
 
     def test_finite_differences(self):
         q, k, v = (rand_tensor((2, 3, 4), seed=s) for s in range(3))
@@ -416,22 +453,20 @@ class TestAttention:
         w = rng.uniform(0.5, 1.5, size=(b, n_q, d))
         assert_matches_oracle(node_and_oracle_grads(node, oracle, inputs, w))
 
-    def run_node(self, inputs, n_heads, real, record, g):
-        """Output, input gradients and recorded probabilities of one node
-        over fresh leaves of `inputs` (one array: shared self-attention)."""
+    def run_node(self, inputs, n_heads, real, g):
+        """Output and input gradients of one node over fresh leaves of
+        `inputs` (one array: shared self-attention)."""
         leaves = [Tensor(a, requires_grad=True) for a in inputs]
-        rec = [] if record else None
-        out = attention(*(leaves * 3 if len(leaves) == 1 else leaves), n_heads, real, rec)
+        out = attention(*(leaves * 3 if len(leaves) == 1 else leaves), n_heads, real)
         out.node._backward(g)
-        return [out.data, *(t.grad for t in leaves), *(rec or [])]
+        return [out.data, *(t.grad for t in leaves)]
 
     @settings(max_examples=80, deadline=None)
     @given(b=st.integers(1, 3), n_q=st.integers(1, 6), n_kv=st.integers(1, 6),
            n_heads=st.integers(1, 3), dh=st.integers(1, 4), pads=st.booleans(),
-           shared=st.booleans(), record=st.booleans(), data=st.data(),
-           seed=st.integers(0, 2**16))
-    def test_tiles_give_the_one_tile_bits(self, b, n_q, n_kv, n_heads, dh, pads, shared,
-                                          record, data, seed):
+           shared=st.booleans(), data=st.data(), seed=st.integers(0, 2**16))
+    def test_tiles_give_the_one_tile_bits(self, b, n_q, n_kv, n_heads, dh, pads, shared, data,
+                                          seed):
         assume(b * n_heads >= 2)
         rng = np.random.default_rng(seed)
         d = n_heads * dh
@@ -442,7 +477,7 @@ class TestAttention:
             real = rng.random((b, n_kv)) < 0.6
             real[:, 0] = True
         g = rng.normal(size=(b, n_q, d))
-        one_tile = self.run_node(inputs, n_heads, real, record, g)
+        one_tile = self.run_node(inputs, n_heads, real, g)
         # fewer slices per tile than the node has, the last tile ragged when
         # they do not divide it, and budgets that are not a whole slice
         per_tile = data.draw(st.integers(1, b * n_heads - 1))
@@ -450,7 +485,7 @@ class TestAttention:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tensor, "ATTENTION_TILE_BYTES", per_tile * 8 * n_q * n_kv + slack)
             mp.setattr(tensor, "TILE_WORKERS", data.draw(st.sampled_from([1, 2, 3, 4])))
-            tiled = self.run_node(inputs, n_heads, real, record, g)
+            tiled = self.run_node(inputs, n_heads, real, g)
         assert len(tiled) == len(one_tile)
         for got, want in zip(tiled, one_tile):
             assert np.array_equal(got, want)
@@ -486,7 +521,7 @@ class TestAttention:
         monkeypatch.setattr(tensor, "TILE_WORKERS", 2)
         q, k, v = (rand_tensor((3, 4, 2), seed=s) for s in range(3))
         g = rand_tensor((3, 4, 2), seed=3, requires_grad=False).data
-        want = self.run_node([q.data, k.data, v.data], 1, None, False, g)
+        want = self.run_node([q.data, k.data, v.data], 1, None, g)
 
         class TileError(Exception):
             pass
@@ -498,8 +533,8 @@ class TestAttention:
             return exp(*args, **kwargs)
         with pytest.MonkeyPatch.context() as mp, pytest.raises(TileError):
             mp.setattr(np, "exp", failing_exp)
-            self.run_node([q.data, k.data, v.data], 1, None, False, g)
-        got = self.run_node([q.data, k.data, v.data], 1, None, False, g)
+            self.run_node([q.data, k.data, v.data], 1, None, g)
+        got = self.run_node([q.data, k.data, v.data], 1, None, g)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -650,10 +685,10 @@ class TestAttentionSublayer:
     @settings(max_examples=80, deadline=None)
     @given(b=st.integers(1, 3), n=st.integers(1, 5), n_ctx=st.integers(1, 5),
            n_heads=st.integers(1, 3), dh=st.integers(1, 3), pads=st.booleans(),
-           cross=st.booleans(), cls_only=st.booleans(), record=st.booleans(),
+           cross=st.booleans(), cls_only=st.booleans(),
            per_tile=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2**16))
     def test_matches_composition_bitwise(self, b, n, n_ctx, n_heads, dh, pads, cross, cls_only,
-                                         record, per_tile, seed):
+                                         per_tile, seed):
         rng = np.random.default_rng(seed)
         d = n_heads * dh
         x = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
@@ -668,14 +703,16 @@ class TestAttentionSublayer:
         w = rng.uniform(0.5, 1.5, size=(b, n_q, d))
         leaves = [x, *((ctx,) if cross else ()), *norm, *maps]
         runs = []
-        for f in (attention_sublayer, attention_sublayer_composition):
-            rec = [] if record else None
+        probs = cls_probabilities, cls_probabilities_composition
+        for f, cls_probs in zip((attention_sublayer, attention_sublayer_composition), probs):
             with pytest.MonkeyPatch.context() as mp:
-                if per_tile is not None:  # tiles of per_tile head slices, unless record
+                if per_tile is not None:  # tiles of per_tile head slices
                     mp.setattr(tensor, "ATTENTION_TILE_BYTES", per_tile * 8 * n_q * n_kv)
-                out = f(x, norm, maps, n_heads, real, ctx=ctx, record=rec, cls_only=cls_only)
+                out = f(x, norm, maps, n_heads, real, ctx=ctx, cls_only=cls_only)
                 (out * w).sum().backward()
-            runs.append([out.data, *(rec or []), *(t.grad for t in leaves)])
+                # the [CLS] query's probabilities in self-attention
+                cls = [] if cross else [cls_probs(x, norm, maps, n_heads, real)]
+            runs.append([out.data, *cls, *(t.grad for t in leaves)])
             for t in leaves:
                 t.grad = None
         assert len(runs[0]) == len(runs[1])
@@ -697,6 +734,48 @@ class TestAttentionSublayer:
             attention_sublayer(rand_tensor((1, 3, 6)), norm, maps, 2)
         with pytest.raises(DimensionError):
             attention_sublayer(rand_tensor((1, 3, 4)), norm, maps, 2, ctx=rand_tensor((1, 2, 6)))
+
+
+class TestClsProbabilities:
+    @settings(max_examples=80, deadline=None)
+    @given(b=st.integers(1, 3), n=st.sampled_from([1, 2, 5, 9]), n_heads=st.integers(1, 4),
+           dh=st.integers(1, 3), pads=st.booleans(), seed=st.integers(0, 2**16))
+    def test_matches_softmax_of_composition_scores(self, b, n, n_heads, dh, pads, seed):
+        # rows 1..n-1 are keys only; a 1-row x is its [CLS] query and key alone
+        rng = np.random.default_rng(seed)
+        d = n_heads * dh
+        x = Tensor(rng.normal(size=(b, n, d)))
+        norm, maps = sublayer_weights(d, seed)
+        real = None
+        if pads:  # key 0 stays real, as [CLS] does
+            real = rng.random((b, n)) < 0.6
+            real[:, 0] = True
+        got = cls_probabilities(x, norm, maps, n_heads, real)
+        want = cls_probabilities_composition(x, norm, maps, n_heads, real)
+        assert got.shape == want.shape == (b, n_heads, 1, n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_are_what_the_sublayer_row_zero_reads(self):
+        # the [CLS] output row is x + (P·v)·wo + bo for the returned P
+        b, n, n_heads, dh = 2, 6, 3, 2
+        d = n_heads * dh
+        x = rand_tensor((b, n, d), requires_grad=False)
+        norm, maps = sublayer_weights(d, seed=4)
+        real = np.array([[True] * n, [True, False, True, True, False, True]])
+        probs = cls_probabilities(x, norm, maps, n_heads, real)
+        _, _, _, wv, bv, wo, bo = (t.data for t in maps)
+        v = layer_norm(x, *norm).data @ wv + bv
+        heads = probs @ v.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+        want = x.data[:, :1] + heads.transpose(0, 2, 1, 3).reshape(b, 1, d) @ wo + bo
+        got = attention_sublayer(x, norm, maps, n_heads, real, cls_only=True).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_mismatched_maps(self):
+        norm, maps = sublayer_weights(4, seed=1)
+        with pytest.raises(DimensionError):
+            cls_probabilities(rand_tensor((1, 3, 6)), norm, maps, 2)
+        with pytest.raises(DimensionError):
+            cls_probabilities(rand_tensor((3, 4)), norm, maps, 2)
 
 
 class TestFFNSublayer:
