@@ -35,7 +35,7 @@ from .errors import (
     VocabError,
 )
 from .model import AlignFuseModel, ModelConfig, param_specs
-from .tensor import BLAS_THREADS, RngStream, no_grad
+from .tensor import BLAS_THREADS, RngStream
 from .train import (
     AdamW,
     TrainConfig,
@@ -265,7 +265,7 @@ def cmd_export(args) -> int:
         print(f"modality_gap {gap:.6f} over {len(examples)} records")
     else:
         # one atomic file: a chunk that fails leaves no partial export
-        with atomic_write(out_dir / "attention.jsonl") as fh, no_grad():
+        with atomic_write(out_dir / "attention.jsonl") as fh:
             for start, chunk in inference_chunks(examples):
                 heat, txt_w = model.attention_maps(collate(chunk))
                 for i, ex in enumerate(chunk):

@@ -91,6 +91,9 @@ class Batch:
     @classmethod
     def stack(cls, patches: list[np.ndarray], tokens: list[TokenSequence],
               labels: list[int] | None = None) -> "Batch":
+        shapes = [np.shape(a) for a in patches]
+        if not tokens or len(set(shapes)) != 1:  # B >= 1, one patch grid
+            raise DimensionError(f"batch of {len(tokens)} records, patch shapes {shapes}")
         lengths = np.array([t.checked_length() for t in tokens])
         n = lengths.max()
         return cls(patches=np.stack(patches),

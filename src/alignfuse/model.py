@@ -24,10 +24,11 @@ from .tensor import (
     RngStream,
     Tensor,
     attention_sublayer,
-    cls_probabilities,
+    cls_attention,
     concat,
     ffn_sublayer,
     linear,
+    no_grad,
 )
 
 FFN_MULT = 4  # FFN hidden width is FFN_MULT * d_model
@@ -163,22 +164,18 @@ class AlignFuseModel:
         return linear(x, self.params[f"{name}.w"], self.params.get(f"{name}.b"))
 
     def _block(self, x: Tensor, name: str, pad_mask: np.ndarray | None,
-               ctx: Tensor | None = None, ctx_pad_mask: np.ndarray | None = None,
-               cls_only: bool = False) -> Tensor:
+               ctx: Tensor | None = None, ctx_pad_mask: np.ndarray | None = None) -> Tensor:
         """One pre-norm block on (B, N, d) rows: self-attention, then (with
         `ctx`) cross-attention into ctx through the `<m>.ca.<i>` weights of
         block `<m>.enc.<i>`, then FFN, each one graph node with its residual.
         The (B, N) and (B, Nctx) masks of real rows leave the pads of `x` and
-        `ctx` out as keys. With `cls_only` only row 0 queries and comes out,
-        (B, 1, d); keys and values still span every row."""
-        heads, norm, maps = self.config.n_heads, self._norm, self._maps
-        x = attention_sublayer(x, norm(f"{name}.ln1"), maps(f"{name}.sa"), heads, pad_mask,
-                               cls_only=cls_only)
+        `ctx` out as keys."""
+        heads, norm, maps, ffn = self.config.n_heads, self._norm, self._maps, self._ffn
+        x = attention_sublayer(x, norm(f"{name}.ln1"), maps(f"{name}.sa"), heads, pad_mask)
         if ctx is not None:
             ca = name.replace(".enc.", ".ca.")
             x = attention_sublayer(x, norm(f"{ca}.ln"), maps(ca), heads, ctx_pad_mask, ctx=ctx)
-        ffn = [self.params[f"{name}.ffn.{m}"] for m in ("l1.w", "l1.b", "l2.w", "l2.b")]
-        return ffn_sublayer(x, norm(f"{name}.ln2"), *ffn)
+        return ffn_sublayer(x, norm(f"{name}.ln2"), *ffn(name))
 
     def _norm(self, ln: str) -> tuple[Tensor, Tensor]:
         return self.params[f"{ln}.g"], self.params[f"{ln}.b"]
@@ -186,6 +183,9 @@ class AlignFuseModel:
     def _maps(self, att: str) -> list[Tensor]:  # the key map has no bias
         return [self.params[f"{att}.{m}"]
                 for m in ("wq.w", "wq.b", "wk.w", "wv.w", "wv.b", "wo.w", "wo.b")]
+
+    def _ffn(self, block: str) -> list[Tensor]:
+        return [self.params[f"{block}.ffn.{m}"] for m in ("l1.w", "l1.b", "l2.w", "l2.b")]
 
     # -- embedding ------------------------------------------------------------
 
@@ -245,16 +245,23 @@ class AlignFuseModel:
             h = self._block(h, f"{modality}.enc.{i}", pad_mask)
         return h
 
-    def encode_cls(self, h: Tensor, modality: str, pad_mask: np.ndarray | None = None) -> Tensor:
-        """Row 0 of `encode_unimodal`, (B, d). Only the [CLS] row of the last
-        block's output is read, so that block runs the [CLS] query alone (the
-        class-attention layer of CaiT, Touvron et al., 2021)."""
+    def _cls_attention(self, h: Tensor, modality: str, pad_mask: np.ndarray | None = None):
+        """Blocks 0…n−2 of the unimodal encoder on every row; returns the last
+        block's name, then the probabilities and ``row`` of its ``cls_attention``."""
         n = self.config.n_enc_layers
         for i in range(n - 1):
             h = self._block(h, f"{modality}.enc.{i}", pad_mask)
-        if n:
-            h = self._block(h, f"{modality}.enc.{n - 1}", pad_mask, cls_only=True)
-        return h[:, 0]
+        last = f"{modality}.enc.{n - 1}"
+        return last, *cls_attention(h, self._norm(f"{last}.ln1"), self._maps(f"{last}.sa"),
+                                    self.config.n_heads, pad_mask)
+
+    def encode_cls(self, h: Tensor, modality: str, pad_mask: np.ndarray | None = None) -> Tensor:
+        """Row 0 of `encode_unimodal`, (B, d), forward only: the last block runs the
+        [CLS] query alone (the class-attention layer of CaiT, Touvron et al., 2021)."""
+        if not self.config.n_enc_layers:
+            return h[:, 0]
+        last, _, row = self._cls_attention(h, modality, pad_mask)
+        return ffn_sublayer(Tensor(row()), self._norm(f"{last}.ln2"), *self._ffn(last))[:, 0]
 
     def encode_grounded(self, h_masked: Tensor, z_other: Tensor, modality: str,
                         pad_mask: np.ndarray | None = None,
@@ -329,8 +336,9 @@ class AlignFuseModel:
             masked_tokens=txt_masked,
         )
 
+    @no_grad()
     def classify(self, batch: Batch) -> tuple[Tensor, Tensor, Tensor]:
-        """Deterministic inference path: no masking. Returns
+        """Deterministic inference path: no masking and no graph. Returns
         (class_logits, z_image_cls, z_text_cls), one row per record."""
         z_img = self.encode_cls(self.embed_image(batch.patches), "img")
         z_txt = self.encode_cls(self.embed_text(batch.ids), "txt", pad_mask=batch.pad_mask)
@@ -342,27 +350,21 @@ class AlignFuseModel:
             raise ConfigError("attention maps need n_enc_layers >= 1: a model with no "
                               "encoder block has no self-attention to map")
 
+    @no_grad()
     def attention_maps(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
         """[CLS]-query self-attention of the last unimodal encoder block,
         averaged over heads, one row per record; [CLS] (and pad) keys
-        removed, renormalized. The earlier blocks run on every row; of the
-        last block only ``tensor.cls_probabilities`` runs, with no value or
-        output map and no FFN.
+        removed, renormalized, with no graph. The earlier blocks run on every
+        row; of the last block only the probabilities of ``tensor.cls_attention``
+        run: no value or output map and no FFN.
 
         Returns ((B, g, g, g) image heat on the (S/p)^3 grid, (B, L_max) text
         weights with zeros at [CLS] and pads). A record with no token but
         [CLS] puts all its text weight on [CLS]. Raises ConfigError when
         there is no encoder block."""
         self.require_self_attention()
-        n = self.config.n_enc_layers
-
         def cls_row(h, modality, pad_mask=None):  # (B, N - 1): the [CLS] key dropped
-            for i in range(n - 1):
-                h = self._block(h, f"{modality}.enc.{i}", pad_mask)
-            last = f"{modality}.enc.{n - 1}"
-            probs = cls_probabilities(h, self._norm(f"{last}.ln1"), self._maps(f"{last}.sa"),
-                                      self.config.n_heads, pad_mask)
-            return probs[:, :, 0, 1:].mean(axis=1)
+            return self._cls_attention(h, modality, pad_mask)[1][:, :, 0, 1:].mean(axis=1)
         g = self.config.grid_side
         img = cls_row(self.embed_image(batch.patches), "img")
         txt = np.zeros((len(batch.ids), self.config.l_max))

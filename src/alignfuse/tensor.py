@@ -20,8 +20,8 @@ FFN's Φ(h)) and rebuild the rest in backward with the forward's operations
 FFN's pre-activation h, one GEMM, and its GELU output), so their values and
 gradients equal those of ``x +`` the composition of ``layer_norm``,
 ``linear``, ``attention`` and ``Tensor.gelu`` bitwise. No node keeps or
-returns attention probabilities: ``cls_probabilities`` computes those of
-the [CLS] query with the step that ``attention`` runs, and nothing else.
+returns attention probabilities: ``cls_attention`` computes those of the
+[CLS] query with the step that ``attention`` runs, and its row from them.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ LN_EPS = 1e-5  # added to the layer-norm variance
 # backward, a tile's probabilities beside their gradient, at most twice it
 # (unless one head slice alone is larger). A desk-sized node is one tile; a
 # 513-token image node is several. Node timings were the same from one to
-# four 513-token slices per tile. The one-row scores of ``cls_probabilities``
+# four 513-token slices per tile. The one-row scores of ``cls_attention``
 # are one tile at any size.
 ATTENTION_TILE_BYTES = 8 << 20
 
@@ -688,8 +688,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> T
     mask of real keys (any array-like), leaves out the pads: their scores get
     ``NEG_MASK_BIAS``, so beside a real key their probabilities are exactly 0.
     The forward computes each tile's probabilities, keeps each row's max
-    and sum, multiplies by v and drops them; ``cls_probabilities`` is the
-    one way to read probabilities. The backward recomputes each tile's
+    and sum, multiplies by v and drops them; ``cls_attention`` is the one
+    way to read probabilities. The backward recomputes each tile's
     probabilities from the row max and sum (FlashAttention's trade, Dao et
     al., 2022). When the scores of all B·h head slices fit
     ``ATTENTION_TILE_BYTES``, the node is one tile. Otherwise the slices run
@@ -704,7 +704,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, key_mask=None) -> T
 
 
 def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor], n_heads: int,
-                       key_mask=None, ctx: Tensor | None = None, cls_only: bool = False) -> Tensor:
+                       key_mask=None, ctx: Tensor | None = None) -> Tensor:
     """The attention sublayer of a pre-norm block and its residual as one
     node: ``x + attention(u·wq + bq, c·wk, c·wv + bv)·wo + bo`` with ``u``
     the layer norm of the (B, N, d) rows `x` under ``norm = (gamma, beta)``,
@@ -712,8 +712,7 @@ def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor]
     (cross-attention; ctx gets no norm). ``maps = (wq, bq, wk, wv, bv, wo,
     bo)``; the key map has no bias, since it would add the same amount to
     every score of a query. `key_mask` (B, Nc) marks the real rows of c, as
-    in ``attention``. With `cls_only` only row 0 of u queries and only row 0
-    of x is added: the output is (B, 1, d).
+    in ``attention``. ``cls_attention`` is its [CLS] query alone, forward only.
 
     The backward keeps xhat and 1/std, the head-split q, k and v, the
     attention output and each probability row's max and sum. It rebuilds
@@ -736,57 +735,54 @@ def attention_sublayer(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor]
     u = norm_out()
     cd = None if ctx is None else ctx.data
     kv = u if cd is None else cd
-    att, attend_backward = _attend(_affine(u[:, :1] if cls_only else u, wqd, bq.data),
-                                   kv @ wkd, _affine(kv, wvd, bv.data), n_heads, key_mask)
+    att, attend_backward = _attend(_affine(u, wqd, bq.data), kv @ wkd,
+                                   _affine(kv, wvd, bv.data), n_heads, key_mask)
     out = _affine(att, wod, bo.data)
-    out += x.data[:, :1] if cls_only else x.data  # the bits of x + out: addition commutes
-    shape = x.data.shape
-
-    def scatter(g):  # a row-0 gradient scattered into x's rows, as a slice's backward does
-        if not cls_only:
-            return g
-        full = np.zeros(shape)
-        full[:, :1] = g
-        return full
+    out += x.data  # the bits of x + out: addition commutes
 
     def backward(g):
         dwo, dbo = _rows(att).T @ _rows(g), _rows(g).sum(axis=0)
         dq, dk, dv = attend_backward(g @ wod.T)
         u = norm_out()
-        uq, kv = u[:, :1] if cls_only else u, u if cd is None else cd
-        dwq, dbq = _rows(uq).T @ _rows(dq), _rows(dq).sum(axis=0)
+        kv = u if cd is None else cd
+        dwq, dbq = _rows(u).T @ _rows(dq), _rows(dq).sum(axis=0)
         dwk = _rows(kv).T @ _rows(dk)
         dwv, dbv = _rows(kv).T @ _rows(dv), _rows(dv).sum(axis=0)
-        du = scatter(dq @ wqd.T)
+        du = dq @ wqd.T
         dkv_k, dkv_v = dk @ wkd.T, dv @ wvd.T
         if cd is None:
             du += dkv_k
             du += dkv_v
         dx, dgamma, dbeta = norm_backward(du)
         ctx_k, ctx_v = ((), ()) if cd is None else ((dkv_k,), (dkv_v,))
-        return (scatter(g), dx, dgamma, dbeta, dwq, dbq, *ctx_k, dwk, *ctx_v, dwv, dbv, dwo, dbo)
+        return (g, dx, dgamma, dbeta, dwq, dbq, *ctx_k, dwk, *ctx_v, dwv, dbv, dwo, dbo)
 
     ctx_edge = () if ctx is None else (ctx,)
     return Tensor._node(out, (x, x, gamma, beta, wq, bq, *ctx_edge, wk, *ctx_edge, wv, bv, wo, bo),
                         backward)
 
 
-def cls_probabilities(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor], n_heads: int,
-                      key_mask=None) -> np.ndarray:
-    """The (B, h, 1, N) probabilities of the [CLS] query, row 0 of the
-    (B, N, d) rows `x`, in ``attention_sublayer(x, norm, maps, n_heads,
-    key_mask)``, with its bits: that node's layer norm, q map of row 0 and k
-    map of every row, then the step of ``attention``, in one tile. It reads
-    only ``maps[:3] = (wq, bq, wk)`` and builds no graph node."""
-    (gamma, beta), (wq, bq, wk), d = norm, maps[:3], x.data.shape[-1]
-    if x.data.ndim != 3 or [t.data.shape for t in (gamma, beta, wq, bq, wk)] != [
-            (d,), (d,), (d, d), (d,), (d, d)]:
-        raise DimensionError(f"[CLS] attention of {x.data.shape} rows by maps of "
-                             f"{[w.data.shape for w in maps[:3]]}")
-    u = _layer_norm(x.data, gamma.data, beta.data)[0]()
-    *_, probabilities = _head_scores(_affine(u[:, :1], wq.data, bq.data), u @ wk.data, n_heads,
-                                     key_mask)
-    return probabilities(slice(None), True).reshape(len(u), n_heads, 1, -1)
+def cls_attention(x: Tensor, norm: Sequence[Tensor], maps: Sequence[Tensor], n_heads: int,
+                  key_mask=None) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The [CLS] query (row 0 of the (B, N, d) rows `x`) of ``attention_sublayer(x,
+    norm, maps, n_heads, key_mask)``, with its bits and no graph. Returns the
+    (B, h, 1, N) probabilities, which read only wq, bq and wk (layer norm, q
+    map of row 0, k map of every row, then ``attention``'s step in one tile),
+    and ``row()``, the (B, 1, d) row 0 from them: v map, P·V, output map, + x."""
+    (gamma, beta), x, d = norm, x.data, x.data.shape[-1]
+    if x.ndim != 3 or [t.data.shape for t in (gamma, beta, *maps)] != [
+            (d,), (d,), (d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]:
+        raise DimensionError(f"[CLS] attention of {x.shape} rows by maps of "
+                             f"{[w.data.shape for w in maps]}")
+    wq, bq, wk, wv, bv, wo, bo = (t.data for t in maps)
+    u = _layer_norm(x, gamma.data, beta.data)[0]()
+    split, *_, probs = _head_scores(_affine(u[:, :1], wq, bq), u @ wk, n_heads, key_mask)
+    p = probs(slice(None), True)
+
+    def row():  # (B·h, 1, d_h) heads are (B, 1, d) rows; + x has the bits of the node's out + x
+        return x[:, :1] + _affine((p @ split(_affine(u, wv, bv))).reshape(len(x), 1, d), wo, bo)
+
+    return p.reshape(len(x), n_heads, 1, -1), row
 
 
 def ffn_sublayer(x: Tensor, norm: Sequence[Tensor], w1: Tensor, b1: Tensor, w2: Tensor,

@@ -22,8 +22,8 @@ from .data import (
     textualize_record,
     tokenize,
 )
-from .errors import (CheckpointError, ConfigError, DegenerateInputError, LabelError,
-                     NumericError, check_fields)
+from .errors import (CheckpointError, ConfigError, DegenerateInputError, DimensionError,
+                     LabelError, NumericError, check_fields)
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -34,7 +34,7 @@ from .losses import (
     total_loss,
 )
 from .model import AlignFuseModel, ModelConfig, param_specs
-from .tensor import RngStream, Tensor, no_grad, softmax
+from .tensor import RngStream, Tensor, softmax
 
 PREDICT_CHUNK = 4  # records per inference batch; larger ones raise peak memory
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # AdamW moment decays and epsilon
@@ -180,6 +180,8 @@ def batch_loss(model: AlignFuseModel, batch: Batch,
 def _batch_indices(n: int, batch_size: int, step: int, seed: int) -> np.ndarray:
     """Deterministic batch for a global step: seeded shuffle per epoch,
     sequential slices, last incomplete batch kept."""
+    if n == 0:
+        raise DimensionError("training batches drawn from no records")
     steps_per_epoch = math.ceil(n / batch_size)
     epoch, k = divmod(step, steps_per_epoch)
     order = RngStream(seed).child(1_000_000 + epoch).permutation(n)
@@ -258,7 +260,9 @@ class EvalReport:
 def inference_chunks(examples: list[Example]) -> Iterator[tuple[int, list[Example]]]:
     """(start, records) for each run of PREDICT_CHUNK records, in order: the
     batches of inference, so that its memory does not grow with the
-    dataset."""
+    dataset; DimensionError when there are none."""
+    if not examples:
+        raise DimensionError("inference over no records")
     for start in range(0, len(examples), PREDICT_CHUNK):
         yield start, examples[start:start + PREDICT_CHUNK]
 
@@ -267,14 +271,9 @@ def predict(model: AlignFuseModel,
             examples: list[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax class probabilities plus image/text [CLS] embeddings, one
     inference chunk at a time."""
-    probs, z_img, z_txt = [], [], []
-    with no_grad():
-        for _, chunk in inference_chunks(examples):
-            logits, zi, zt = model.classify(collate(chunk))
-            probs.append(softmax(logits, axis=-1).data)
-            z_img.append(zi.data)
-            z_txt.append(zt.data)
-    return np.concatenate(probs), np.concatenate(z_img), np.concatenate(z_txt)
+    chunks = [model.classify(collate(chunk)) for _, chunk in inference_chunks(examples)]
+    logits, z_img, z_txt = (np.concatenate([t.data for t in a]) for a in zip(*chunks))
+    return softmax(Tensor(logits), axis=-1).data, z_img, z_txt
 
 
 def evaluate(model: AlignFuseModel, examples: list[Example]) -> EvalReport:

@@ -312,6 +312,15 @@ class TestBatchStack:
         with pytest.raises(DimensionError, match=f"token length {length} "):
             Batch.stack([np.zeros((1, 8))] * 2, [good, TokenSequence(good.ids, length)])
 
+    def test_no_records_is_refused(self):
+        with pytest.raises(DimensionError, match=r"batch of 0 records, patch shapes \[\]"):
+            Batch.stack([], [])
+
+    def test_patch_arrays_of_two_shapes_are_refused(self):
+        good = tokenize("alpha beta", build_vocab(["alpha beta"]), 12)
+        with pytest.raises(DimensionError, match=r"patch shapes \[\(1, 8\), \(2, 8\)\]"):
+            Batch.stack([np.zeros((1, 8)), np.zeros((2, 8))], [good, good])
+
 
 class TestSyntheticDataset:
     def test_single_record(self):

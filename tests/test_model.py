@@ -18,7 +18,7 @@ from alignfuse.data import (
 )
 from alignfuse.errors import ConfigError, DimensionError, VocabError
 from alignfuse.model import AlignFuseModel, ModelConfig, param_specs
-from alignfuse.tensor import RngStream, Tensor, cls_probabilities, finite_diff_check
+from alignfuse.tensor import RngStream, Tensor, cls_attention, finite_diff_check
 
 
 def tiny_config(**kw):
@@ -52,14 +52,26 @@ def one_batch(patches, toks):
 def full_encoder(model, h, modality, pad_mask=None):
     """Oracle of the [CLS]-only inference path: every unimodal block on every
     row. Returns the (B, N, d) output and each block's (B, h, 1, N) [CLS]-query
-    attention probabilities, read by `cls_probabilities` from its input."""
+    attention probabilities, read by `cls_attention` from its input."""
     probs = []
     for i in range(model.config.n_enc_layers):
         name = f"{modality}.enc.{i}"
-        probs.append(cls_probabilities(h, model._norm(f"{name}.ln1"), model._maps(f"{name}.sa"),
-                                       model.config.n_heads, pad_mask))
+        probs.append(cls_attention(h, model._norm(f"{name}.ln1"), model._maps(f"{name}.sa"),
+                                   model.config.n_heads, pad_mask)[0])
         h = model._block(h, name, pad_mask)
     return h, probs
+
+
+def spy_sublayer(name, seen):
+    """Patches the sublayer `name` of model.py so that each call appends
+    (name, its input rows, its output) to `seen`."""
+    sublayer = getattr(model_module, name)
+
+    def run(x, *args, **kwargs):
+        out = sublayer(x, *args, **kwargs)
+        seen.append((name, x, out))
+        return out
+    return mock.patch.object(model_module, name, run)
 
 
 class TestModelConfig:
@@ -709,15 +721,12 @@ class TestClsOnlyInference:
         cfg = tiny_config(n_enc_layers=2, l_max=12)
         model = AlignFuseModel(cfg, seed=0)
         batch = Batch.stack(*ragged_batch(cfg, [3, 8, 5]))
-        rows, ffn = [], model_module.ffn_sublayer
-
-        def spy(x, *maps):  # the FFN node's input rows and its output rows
-            out = ffn(x, *maps)
-            rows.extend([x.shape, out.shape])
-            return out
-        with mock.patch.object(model_module, "ffn_sublayer", spy):
+        calls = []
+        with spy_sublayer("ffn_sublayer", calls):
             model.classify(batch)
-        # block 0 on every row, block 1 on [CLS] alone
+        # the FFN node's input rows and output rows: block 0 on every row,
+        # block 1 on [CLS] alone
+        rows = [a.shape for _, x, out in calls for a in (x, out)]
         n_img, n_txt, d = cfg.n_patches + 1, batch.ids.shape[1], cfg.d_model
         assert sorted(rows) == sorted(2 * [(3, n_img, d)] + 2 * [(3, n_txt, d)]
                                       + 4 * [(3, 1, d)])
@@ -727,16 +736,6 @@ class TestClsOnlyInference:
         model = AlignFuseModel(cfg, seed=0)
         batch = Batch.stack(*ragged_batch(cfg, [3, 8, 5]))
         want_heat, want_txt = model.attention_maps(batch)
-        calls = []
-
-        def spy(name):  # the sublayer node's name, input rows and output rows
-            sublayer = getattr(model_module, name)
-
-            def run(x, *args, **kwargs):
-                out = sublayer(x, *args, **kwargs)
-                calls.append((name, x.shape, out.shape))
-                return out
-            return mock.patch.object(model_module, name, run)
 
         class Multiplied(Exception):
             pass
@@ -750,14 +749,29 @@ class TestClsOnlyInference:
                 t.data = t.data.view(Unread)
         with pytest.raises(Multiplied):  # the guard holds: classify runs that block
             model.classify(batch)
-        with spy("attention_sublayer"), spy("ffn_sublayer"):
+        calls = []
+        with spy_sublayer("attention_sublayer", calls), spy_sublayer("ffn_sublayer", calls):
             heat, txt = model.attention_maps(batch)
         # block 0 on every row; of block 1 no sublayer node runs
         n_img, n_txt, d = cfg.n_patches + 1, batch.ids.shape[1], cfg.d_model
-        assert sorted(calls) == sorted((name, (3, n, d), (3, n, d))
-                                       for name in ("attention_sublayer", "ffn_sublayer")
-                                       for n in (n_img, n_txt))
+        assert sorted((name, x.shape, out.shape) for name, x, out in calls) == sorted(
+            (name, (3, n, d), (3, n, d)) for name in ("attention_sublayer", "ffn_sublayer")
+            for n in (n_img, n_txt))
         assert heat.tobytes() == want_heat.tobytes() and txt.tobytes() == want_txt.tobytes()
+
+    def test_outputs_require_no_grad(self):
+        # inference builds no graph, though grad is enabled and every
+        # parameter requires one
+        cfg = tiny_config(n_enc_layers=2, l_max=12)
+        model = AlignFuseModel(cfg, seed=0)
+        batch = Batch.stack(*ragged_batch(cfg, [3, 8, 5]))
+        calls = []
+        with spy_sublayer("attention_sublayer", calls), spy_sublayer("ffn_sublayer", calls):
+            outputs = model.classify(batch)
+            model.attention_maps(batch)
+        assert [t.requires_grad for t in outputs] == [False] * 3
+        assert len(calls) == 10 and not any(out.requires_grad for *_, out in calls)
+        assert all(p.requires_grad for p in model.params.values())
 
     @pytest.mark.parametrize("length", [0, 13])
     def test_token_length_outside_the_ids_is_refused(self, length):

@@ -195,6 +195,16 @@ def test_pad_bias_has_one_owner():
     assert owners == {"tensor.py"}
 
 
+def test_graph_free_inference_has_one_owner():
+    # the engine defines no_grad and uses it for finite differences, and the
+    # model's inference methods run under it: no other module turns grad off
+    owners = {name for name, node in package_nodes()
+              if isinstance(node, ast.Name) and node.id == "no_grad"
+              or isinstance(node, ast.Attribute) and node.attr == "no_grad"
+              or isinstance(node, ast.alias) and node.name == "no_grad"}
+    assert owners == {"tensor.py", "model.py"}
+
+
 def test_threads_and_native_calls_live_in_tensor_alone():
     # the BLAS pin and the attention tile workers are the engine's business
     importers = set()

@@ -26,7 +26,7 @@ from alignfuse.tensor import (
     Tensor,
     attention,
     attention_sublayer,
-    cls_probabilities,
+    cls_attention,
     concat,
     cross_entropy,
     ffn_sublayer,
@@ -87,7 +87,7 @@ def attention_composition(q, k, v, n_heads, key_mask=None):
 def cls_probabilities_composition(x, norm, maps, n_heads, key_mask=None):
     """The (B, h, 1, N) [CLS]-query probabilities of a self-attention
     sublayer as the softmax of the composed scores over the layer_norm and
-    linear nodes: the oracle for `cls_probabilities`, bit for bit."""
+    linear nodes: the oracle for those of `cls_attention`, bit for bit."""
     wq, bq, wk = maps[:3]
     u = layer_norm(x, *norm)
     scores = attention_scores_composition(linear(u[:, :1], wq, bq), linear(u, wk), n_heads,
@@ -100,7 +100,8 @@ def attention_sublayer_composition(x, norm, maps, n_heads, key_mask=None, ctx=No
     """The pre-norm attention sublayer and its residual as the layer_norm,
     linear, attention, slice and add nodes that the one-node
     `attention_sublayer` replaced: the oracle for its values and gradients,
-    bit for bit."""
+    bit for bit. With `cls_only` only row 0 of u queries and only row 0 of x
+    is added: the oracle for the row of `cls_attention`."""
     wq, bq, wk, wv, bv, wo, bo = maps
     u = layer_norm(x, *norm)
     kv = u if ctx is None else ctx
@@ -377,7 +378,7 @@ class TestAttention:
             leaves = [Tensor(t.data, requires_grad=True) for t in (q, k, v)]
             out = attention(*leaves, 2, real)
             out.node._backward(g)
-            runs.append([out.data, cls_probabilities(q, norm, maps, 2, real),
+            runs.append([out.data, cls_attention(q, norm, maps, 2, real)[0],
                          *(t.grad for t in leaves)])
         for got, want in zip(*runs):
             assert got.tobytes() == want.tobytes()
@@ -386,7 +387,7 @@ class TestAttention:
         x, (q, k, v) = rand_tensor((2, 5, 4)), (rand_tensor((2, 5, 4), seed=s) for s in range(3))
         norm, maps = sublayer_weights(4, seed=3)
         real = np.array([[True] * 5, [True, True, False, True, False]])
-        probs = cls_probabilities(x, norm, maps, 2, real)
+        probs = cls_attention(x, norm, maps, 2, real)[0]
         assert probs.shape == (2, 2, 1, 5)
         assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-9)
         assert np.all(probs[1][:, :, ~real[1]] == 0.0)
@@ -409,7 +410,7 @@ class TestAttention:
             attention(*(Tensor(np.ones((0, 3, 4))),) * 3, 2)
         norm, maps = sublayer_weights(4, seed=1)
         with pytest.raises(DimensionError, match="attention of"):
-            cls_probabilities(Tensor(np.ones((1, 0, 4))), norm, maps, 2)
+            cls_attention(Tensor(np.ones((1, 0, 4))), norm, maps, 2)
 
     def test_backward_writes_into_no_input(self):
         # with one head the per-head arrays are views of q, k and v
@@ -685,10 +686,10 @@ class TestAttentionSublayer:
     @settings(max_examples=80, deadline=None)
     @given(b=st.integers(1, 3), n=st.integers(1, 5), n_ctx=st.integers(1, 5),
            n_heads=st.integers(1, 3), dh=st.integers(1, 3), pads=st.booleans(),
-           cross=st.booleans(), cls_only=st.booleans(),
-           per_tile=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2**16))
-    def test_matches_composition_bitwise(self, b, n, n_ctx, n_heads, dh, pads, cross, cls_only,
-                                         per_tile, seed):
+           cross=st.booleans(), per_tile=st.sampled_from([None, 1, 2]),
+           seed=st.integers(0, 2**16))
+    def test_matches_composition_bitwise(self, b, n, n_ctx, n_heads, dh, pads, cross, per_tile,
+                                         seed):
         rng = np.random.default_rng(seed)
         d = n_heads * dh
         x = Tensor(rng.normal(size=(b, n, d)), requires_grad=True)
@@ -699,16 +700,15 @@ class TestAttentionSublayer:
         if pads:  # key 0 stays real, as [CLS] does
             real = rng.random((b, n_kv)) < 0.6
             real[:, 0] = True
-        n_q = 1 if cls_only else n
-        w = rng.uniform(0.5, 1.5, size=(b, n_q, d))
+        w = rng.uniform(0.5, 1.5, size=(b, n, d))
         leaves = [x, *((ctx,) if cross else ()), *norm, *maps]
         runs = []
-        probs = cls_probabilities, cls_probabilities_composition
+        probs = (lambda *args: cls_attention(*args)[0]), cls_probabilities_composition
         for f, cls_probs in zip((attention_sublayer, attention_sublayer_composition), probs):
             with pytest.MonkeyPatch.context() as mp:
                 if per_tile is not None:  # tiles of per_tile head slices
-                    mp.setattr(tensor, "ATTENTION_TILE_BYTES", per_tile * 8 * n_q * n_kv)
-                out = f(x, norm, maps, n_heads, real, ctx=ctx, cls_only=cls_only)
+                    mp.setattr(tensor, "ATTENTION_TILE_BYTES", per_tile * 8 * n * n_kv)
+                out = f(x, norm, maps, n_heads, real, ctx=ctx)
                 (out * w).sum().backward()
                 # the [CLS] query's probabilities in self-attention
                 cls = [] if cross else [cls_probs(x, norm, maps, n_heads, real)]
@@ -741,7 +741,9 @@ class TestClsProbabilities:
     @given(b=st.integers(1, 3), n=st.sampled_from([1, 2, 5, 9]), n_heads=st.integers(1, 4),
            dh=st.integers(1, 3), pads=st.booleans(), seed=st.integers(0, 2**16))
     def test_matches_softmax_of_composition_scores(self, b, n, n_heads, dh, pads, seed):
-        # rows 1..n-1 are keys only; a 1-row x is its [CLS] query and key alone
+        # rows 1..n-1 are keys only; a 1-row x is its [CLS] query and key alone.
+        # The probabilities are the softmax of the composed scores, and the row
+        # is the composed sublayer's [CLS] row, both bit for bit
         rng = np.random.default_rng(seed)
         d = n_heads * dh
         x = Tensor(rng.normal(size=(b, n, d)))
@@ -750,32 +752,38 @@ class TestClsProbabilities:
         if pads:  # key 0 stays real, as [CLS] does
             real = rng.random((b, n)) < 0.6
             real[:, 0] = True
-        got = cls_probabilities(x, norm, maps, n_heads, real)
+        got, row = cls_attention(x, norm, maps, n_heads, real)
         want = cls_probabilities_composition(x, norm, maps, n_heads, real)
         assert got.shape == want.shape == (b, n_heads, 1, n)
         assert got.tobytes() == want.tobytes()
+        got = row()
+        want = attention_sublayer_composition(x, norm, maps, n_heads, real, cls_only=True).data
+        assert got.shape == want.shape == (b, 1, d)
+        assert got.tobytes() == want.tobytes()
 
     def test_are_what_the_sublayer_row_zero_reads(self):
-        # the [CLS] output row is x + (P·v)·wo + bo for the returned P
+        # the [CLS] row is x + (P·v)·wo + bo for the returned P, and row 0 of
+        # the whole sublayer node
         b, n, n_heads, dh = 2, 6, 3, 2
         d = n_heads * dh
         x = rand_tensor((b, n, d), requires_grad=False)
         norm, maps = sublayer_weights(d, seed=4)
         real = np.array([[True] * n, [True, False, True, True, False, True]])
-        probs = cls_probabilities(x, norm, maps, n_heads, real)
+        probs, row = cls_attention(x, norm, maps, n_heads, real)
         _, _, _, wv, bv, wo, bo = (t.data for t in maps)
         v = layer_norm(x, *norm).data @ wv + bv
         heads = probs @ v.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
         want = x.data[:, :1] + heads.transpose(0, 2, 1, 3).reshape(b, 1, d) @ wo + bo
-        got = attention_sublayer(x, norm, maps, n_heads, real, cls_only=True).data
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row(), want, rtol=0, atol=1e-12)
+        full = attention_sublayer(x, norm, maps, n_heads, real).data
+        np.testing.assert_allclose(row(), full[:, :1], rtol=0, atol=1e-12)
 
     def test_mismatched_maps(self):
         norm, maps = sublayer_weights(4, seed=1)
         with pytest.raises(DimensionError):
-            cls_probabilities(rand_tensor((1, 3, 6)), norm, maps, 2)
+            cls_attention(rand_tensor((1, 3, 6)), norm, maps, 2)
         with pytest.raises(DimensionError):
-            cls_probabilities(rand_tensor((3, 4)), norm, maps, 2)
+            cls_attention(rand_tensor((3, 4)), norm, maps, 2)
 
 
 class TestFFNSublayer:

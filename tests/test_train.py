@@ -17,6 +17,7 @@ from alignfuse.data import Vocab, build_vocab, generate_synthetic_dataset
 from alignfuse.errors import (
     CheckpointError,
     DegenerateInputError,
+    DimensionError,
     MagicMismatchError,
     TruncatedFileError,
     VersionMismatchError,
@@ -265,6 +266,12 @@ class TestEvaluate:
         report = evaluate(model, examples)
         assert sum(v["n"] for v in report.per_class_counts.values()) == 6
 
+    @pytest.mark.parametrize("run", [predict, evaluate])
+    def test_no_records_is_refused(self, run):
+        model, _, _ = tiny_setup(n=3)
+        with pytest.raises(DimensionError, match="inference over no records"):
+            run(model, [])
+
 
 class TestTrainSteps:
     def test_same_seed_same_trajectory(self):
@@ -278,6 +285,12 @@ class TestTrainSteps:
             digests.append(params_digest(model))
         assert logs[0] == logs[1]
         assert digests[0] == digests[1]
+
+    def test_no_records_is_refused(self):
+        model, _, _ = tiny_setup(n=3)
+        cfg = TrainConfig(batch_size=2, steps=1, seed=0)
+        with pytest.raises(DimensionError, match="no records"):
+            train_steps(model, AdamW(model.params, cfg), [], cfg)
 
     def test_log_schema(self):
         model, vocab, examples = tiny_setup(n=4)
