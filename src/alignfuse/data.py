@@ -64,16 +64,10 @@ class PatientRecord:
 
 @dataclass
 class TokenSequence:
-    """One record's text; `Batch.stack` derives its pad mask from `length`."""
+    """One record's text; `Batch.stack` checks `length` and derives its pad mask from it."""
 
     ids: np.ndarray        # (L_max,) int64
     length: int            # count of real tokens (incl. [CLS])
-
-    def checked_length(self) -> int:
-        """`length`; DimensionError when it is outside [1, L_max]: [CLS] is always real."""
-        if not 1 <= self.length <= len(self.ids):
-            raise DimensionError(f"token length {self.length} outside [1, {len(self.ids)}]")
-        return self.length
 
 
 @dataclass
@@ -94,7 +88,10 @@ class Batch:
         shapes = [np.shape(a) for a in patches]
         if not tokens or len(set(shapes)) != 1:  # B >= 1, one patch grid
             raise DimensionError(f"batch of {len(tokens)} records, patch shapes {shapes}")
-        lengths = np.array([t.checked_length() for t in tokens])
+        for t in tokens:  # [CLS] is always real
+            if not 1 <= t.length <= len(t.ids):
+                raise DimensionError(f"token length {t.length} outside [1, {len(t.ids)}]")
+        lengths = np.array([t.length for t in tokens])
         n = lengths.max()
         return cls(patches=np.stack(patches),
                    ids=np.stack([t.ids[:n] for t in tokens]),
@@ -147,13 +144,17 @@ def normalize_volume(raw: np.ndarray, target_side: int) -> np.ndarray:
     any of the n real positions; the rest lie wholly in the pad, stay 0 and
     are not computed. At least 2 outputs are: BLAS takes a GEMM one column
     wide through its GEMV path, whose sums round otherwise. A
-    constant-intensity volume maps to all zeros.
+    constant-intensity volume maps to all zeros. A max − min that is not a
+    finite float64 raises DataFormatError; a finite one stays finite, as
+    each output is a convex combination of voxels and the pad's zeros.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 3 or raw.size == 0:
         raise DimensionError("expected a nonempty 3-D volume")
     side = max(raw.shape)
-    lo, hi = raw.min(), raw.max()
+    lo, hi = float(raw.min()), float(raw.max())
+    if not math.isfinite(hi - lo):  # then scaling would give NaN patches
+        raise DataFormatError(f"voxel range [{lo}, {hi}] is not a finite float64")
     if min(raw.shape) < side:  # the pad's zeros count in the range
         lo, hi = min(lo, 0.0), max(hi, 0.0)
     if hi == lo:
@@ -375,8 +376,9 @@ def read_volume(path: Path) -> np.ndarray:
             raise DataFormatError(f"{path}: {what}: header claims {dims} voxels "
                                   f"({count * 8} bytes) but {left} bytes follow")
         volume = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(dims).copy()
-    if not np.isfinite(volume).all():
-        raise DataFormatError(f"{path}: non-finite voxel values")
+    lo, hi = float(volume.min()), float(volume.max())
+    if not math.isfinite(hi - lo):  # also a NaN or infinite voxel
+        raise DataFormatError(f"{path}: voxel range [{lo}, {hi}] is not a finite float64")
     return volume
 
 

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Batch, TokenSequence
-from .errors import ConfigError, DimensionError, VocabError, check_fields, check_indices
+from .errors import (ConfigError, DimensionError, NumericError, VocabError, check_fields,
+                     check_indices)
 from .tensor import (
     LN_EPS,
     RngStream,
@@ -361,7 +362,8 @@ class AlignFuseModel:
         Returns ((B, g, g, g) image heat on the (S/p)^3 grid, (B, L_max) text
         weights with zeros at [CLS] and pads). A record with no token but
         [CLS] puts all its text weight on [CLS]. Raises ConfigError when
-        there is no encoder block."""
+        there is no encoder block, and NumericError when every patch
+        probability of a record underflowed to 0: its heat has no mass."""
         self.require_self_attention()
         def cls_row(h, modality, pad_mask=None):  # (B, N - 1): the [CLS] key dropped
             return self._cls_attention(h, modality, pad_mask)[1][:, :, 0, 1:].mean(axis=1)
@@ -371,15 +373,16 @@ class AlignFuseModel:
         # pad keys already hold exactly 0: attention leaves them out
         txt[:, 1:batch.ids.shape[1]] = cls_row(self.embed_text(batch.ids), "txt", batch.pad_mask)
         txt[txt.sum(axis=1) == 0, 0] = 1.0
-        return ((img / img.sum(axis=1, keepdims=True)).reshape(-1, g, g, g),
+        mass = img.sum(axis=1, keepdims=True)
+        if (mass == 0).any():
+            raise NumericError(f"the [CLS] query puts no attention on any patch in batch "
+                               f"rows {np.flatnonzero(mass == 0).tolist()}")
+        return ((img / mass).reshape(-1, g, g, g),
                 txt / txt.sum(axis=1, keepdims=True))
 
     def extract_attention_map(self, patches: np.ndarray,
                               tokens: TokenSequence) -> tuple[np.ndarray, np.ndarray]:
-        """Row 0 of `attention_maps` on a batch of this one record, built
-        from views of its (P, p^3) patches and real ids under an all-true mask.
-        Raises DimensionError when the token length is outside [1, L_max]."""
-        n = tokens.checked_length()
-        heat, txt = self.attention_maps(Batch(patches[None], tokens.ids[None, :n],
-                                              np.ones((1, n), dtype=bool)))
+        """Row 0 of `attention_maps` on `Batch.stack` of this one record, which
+        raises DimensionError when the token length is outside [1, L_max]."""
+        heat, txt = self.attention_maps(Batch.stack([patches], [tokens]))
         return heat[0], txt[0]

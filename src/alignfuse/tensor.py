@@ -594,6 +594,8 @@ def _head_scores(q: np.ndarray, k: np.ndarray, n_heads: int, key_mask):
     contiguous (B·h, N, d_h) head slices, 1/√d_h, the split scaled q and k,
     and ``probabilities(t, forward)``, those of head slices t: the forward's
     call stores each row's max and sum, and a recompute reuses them."""
+    if q.ndim != 3 or k.ndim != 3:
+        raise DimensionError(f"attention of {q.shape} over {k.shape} keys: rows must be 3-D")
     (b, n_q, d), n_kv = q.shape, k.shape[1]
     if key_mask is not None:
         key_mask = np.asarray(key_mask)

@@ -17,12 +17,12 @@ import pytest
 from alignfuse import checkpoint as ckpt
 from alignfuse import cli, tensor
 from alignfuse.cli import EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from alignfuse.data import load_dataset, read_volume, write_volume
+from alignfuse.data import build_vocab, load_dataset, read_volume, write_volume
 from alignfuse.errors import CheckpointError, NumericError
-from alignfuse.model import AlignFuseModel
+from alignfuse.model import AlignFuseModel, ModelConfig
 from alignfuse.tensor import RngStream
-from alignfuse.train import (PREDICT_CHUNK, load_model_checkpoint, modality_gap,
-                             prepare_examples)
+from alignfuse.train import (PREDICT_CHUNK, dataset_corpus, load_model_checkpoint,
+                             modality_gap, prepare_examples, save_model_checkpoint)
 
 TINY_CFG = {
     "model": {"d_model": 8, "n_heads": 2, "n_enc_layers": 1,
@@ -683,6 +683,25 @@ class TestExport:
         assert calls == [PREDICT_CHUNK] * 3
         assert list(out.iterdir()) == []
 
+    def test_attention_with_no_patch_mass_exits_3(self, trained, tmp_path, capsys):
+        # with q and k maps of 1000·I and no q bias, the one-head [CLS] query
+        # scores itself about 1e6 above any patch: every patch probability
+        # underflows to 0, and the heat would be 0/0, which JSON cannot hold
+        ds, _, _ = trained
+        cfg = ModelConfig(**{**TINY_CFG["model"], "d_model": 16, "n_heads": 1})
+        model = AlignFuseModel(cfg, seed=0)
+        for name in ("wq.w", "wk.w"):
+            model.params[f"img.enc.0.sa.{name}"].data = 1000.0 * np.eye(16)
+        model.params["img.enc.0.sa.wq.b"].data = np.zeros(16)
+        vocab = build_vocab(dataset_corpus(load_dataset(ds)), max_size=cfg.vocab_size)
+        save_model_checkpoint(tmp_path / "drowned.ckpt", model, vocab)
+        out = tmp_path / "att"
+        assert main(["export", "--dataset", str(ds), "--checkpoint",
+                     str(tmp_path / "drowned.ckpt"), "--what", "attention",
+                     "--out", str(out)]) == EXIT_NUMERIC
+        assert "no attention on any patch" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_attention_batches_match_single_records(self, trained, tmp_path):
         ds, run, _ = trained
         # 10 records leave a tail chunk shorter than the inference batch
@@ -745,11 +764,15 @@ def copy_dataset(ds: Path, dst: Path, edit_first=None) -> Path:
 
 
 def run_on(command: str, ds: Path, trained, tmp_path) -> int:
-    """`train` with the tiny config, or `eval` of the tiny run's checkpoint."""
+    """`train` with the tiny config, or `eval` or attention `export` of the
+    tiny run's checkpoint; train and export write to tmp_path / "r"."""
     _, run, cfg = trained
     if command == "train":
         return main(["train", "--dataset", str(ds), "--config", str(cfg),
                      "--out", str(tmp_path / "r")])
+    if command == "export":
+        return main(["export", "--dataset", str(ds), "--checkpoint", str(run / "final.ckpt"),
+                     "--what", "attention", "--out", str(tmp_path / "r")])
     return main(["eval", "--dataset", str(ds), "--checkpoint",
                  str(run / "final.ckpt")])
 
@@ -827,6 +850,20 @@ class TestBadDataset:
         write_volume(path, vol)
         assert run_on(command, ds, trained, tmp_path) == EXIT_DATA
         assert "00003.vol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export"])
+    def test_voxel_range_past_float64(self, trained, tmp_path, capsys, command):
+        # every voxel is finite, but max - min is not: scaling to [0, 1] would
+        # give NaN patches
+        ds = copy_dataset(trained[0], tmp_path / "ds")
+        side = TINY_CFG["model"]["volume_side"]
+        vol = np.full((side,) * 3, 1.7e308)
+        vol[1, 2, 3] = -1.7e308
+        write_volume(ds / "volumes" / "00003.vol", vol)
+        assert run_on(command, ds, trained, tmp_path) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "00003.vol: voxel range [-1.7e+308, 1.7e+308]" in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_volume_header_larger_than_file(self, trained, tmp_path, capsys,

@@ -73,6 +73,20 @@ class TestNormalizeVolume:
         with pytest.raises(DimensionError):
             normalize_volume(np.zeros((4, 4)), 8)
 
+    @pytest.mark.parametrize("low,high", [(-1.7e308, 1.7e308), (0.0, np.inf), (np.nan, 1.0)])
+    def test_range_that_is_not_a_finite_float64_is_refused(self, low, high):
+        # scaling by max - min would give NaN patches
+        vol = np.full((8, 8, 8), high)
+        vol[1, 2, 3] = low
+        with pytest.raises(DataFormatError, match="voxel range .* is not a finite float64"):
+            normalize_volume(vol, 8)
+
+    def test_widest_finite_range_scales_to_the_unit_interval(self):
+        vol = np.full((8, 8, 8), 0.9e308)
+        vol[1, 2, 3] = -0.8e308
+        out = normalize_volume(vol, 16)
+        assert np.isfinite(out).all() and out.min() == 0.0 and out.max() == 1.0
+
 
 def zoom_normalize(raw: np.ndarray, target_side: int) -> np.ndarray:
     """normalize_volume with scipy's zoom as the resample: the oracle."""

@@ -16,7 +16,7 @@ from alignfuse.data import (
     patchify,
     tokenize,
 )
-from alignfuse.errors import ConfigError, DimensionError, VocabError
+from alignfuse.errors import ConfigError, DimensionError, NumericError, VocabError
 from alignfuse.model import AlignFuseModel, ModelConfig, param_specs
 from alignfuse.tensor import RngStream, Tensor, cls_attention, finite_diff_check
 
@@ -646,7 +646,7 @@ class TestAttentionMap:
         assert np.allclose(txt, row / row.sum(), rtol=0.0, atol=1e-12)
 
     def test_leaves_the_record_unchanged_and_gives_the_stacked_bits(self):
-        # the one-record batch is views of the record's arrays, not a copy
+        # the one-record batch is Batch.stack's, and writes into no array of the record
         cfg = tiny_config(l_max=12)
         model = AlignFuseModel(cfg, seed=2)
         (patches,), (toks,) = ragged_batch(cfg, [5])
@@ -657,6 +657,21 @@ class TestAttentionMap:
         stacked_heat, stacked_txt = model.attention_maps(one_batch(patches, toks))
         assert heat.tobytes() == stacked_heat[0].tobytes()
         assert txt.tobytes() == stacked_txt[0].tobytes()
+
+    def test_heat_with_no_patch_mass_is_refused(self):
+        # with q and k maps of 1000·I and no q bias, the one-head [CLS] query
+        # scores itself about 1e6 above any patch: every patch probability
+        # underflows to 0 and the heat would be 0/0
+        cfg = tiny_config(d_model=16, n_heads=1, patch_size=4, volume_side=8)
+        model = AlignFuseModel(cfg, seed=0)
+        for name in ("wq.w", "wk.w"):
+            model.params[f"img.enc.0.sa.{name}"].data = 1000.0 * np.eye(16)
+        model.params["img.enc.0.sa.wq.b"].data = np.zeros(16)
+        patches, tokens = ragged_batch(cfg, [1, 5])
+        with pytest.raises(NumericError, match=r"no attention on any patch in batch rows \[0, 1\]"):
+            model.attention_maps(Batch.stack(patches, tokens))
+        with pytest.raises(NumericError, match=r"batch rows \[0\]"):
+            model.extract_attention_map(patches[1], tokens[1])
 
     def test_batch_rows_match_single_records(self):
         cfg = tiny_config(l_max=12)

@@ -195,6 +195,15 @@ def test_pad_bias_has_one_owner():
     assert owners == {"tensor.py"}
 
 
+def test_batches_are_built_by_stack_alone():
+    # Batch.stack checks the records' lengths and derives the pad mask from
+    # them: no other module constructs a Batch
+    builders = {name for name, node in package_nodes() if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "Batch"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "Batch")}
+    assert builders - {"data.py"} == set()
+
+
 def test_graph_free_inference_has_one_owner():
     # the engine defines no_grad and uses it for finite differences, and the
     # model's inference methods run under it: no other module turns grad off

@@ -412,6 +412,15 @@ class TestAttention:
         with pytest.raises(DimensionError, match="attention of"):
             cls_attention(Tensor(np.ones((1, 0, 4))), norm, maps, 2)
 
+    def test_rows_that_are_not_three_dimensional(self):
+        x, rows = rand_tensor((5, 8)), rand_tensor((1, 5, 8))
+        norm, maps = sublayer_weights(8, seed=1)
+        for q, k in [(x, x), (rows, x), (x, rows)]:
+            with pytest.raises(DimensionError, match="attention of .* rows must be 3-D"):
+                attention(q, k, k, 2)
+        with pytest.raises(DimensionError, match="attention of .* rows must be 3-D"):
+            attention_sublayer(x, norm, maps, 2)
+
     def test_backward_writes_into_no_input(self):
         # with one head the per-head arrays are views of q, k and v
         q, k, v = (rand_tensor((2, 4, 3), seed=s) for s in range(3))
